@@ -16,9 +16,10 @@ graded slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
-from .polyring import MismatchError, Poly, RationalLike
+from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, as_int_tuple
 from .signs import merge_indices, sort_with_sign
 
 
@@ -46,7 +47,10 @@ class Chart:
 
 
 class OrdinaryForm:
-    """A differential form with Poly coefficients on a fixed chart."""
+    """A differential form with Poly coefficients on a fixed chart.
+
+    `components` is a read-only mapping from index tuples to nonzero Polys.
+    """
 
     __slots__ = ("chart", "components")
 
@@ -57,7 +61,7 @@ class OrdinaryForm:
     ):
         clean: dict[tuple[int, ...], Poly] = {}
         for indices, poly in (components or {}).items():
-            idx = tuple(int(i) for i in indices)
+            idx = as_int_tuple(indices, "form indices")
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index tuple {idx!r} is not strictly increasing")
             if idx and (idx[0] < 0 or idx[-1] >= chart.dim):
@@ -70,7 +74,9 @@ class OrdinaryForm:
                 continue
             clean[idx] = poly
         self.chart = chart
-        self.components = dict(sorted(clean.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        self.components = MappingProxyType(
+            dict(sorted(clean.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -107,6 +113,9 @@ class OrdinaryForm:
         if not isinstance(other, OrdinaryForm):
             return NotImplemented
         return self.chart == other.chart and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.chart, tuple(self.components.items())))
 
     def degrees(self) -> set[int]:
         """The set of degrees with a nonzero component."""
@@ -270,17 +279,48 @@ class PolyMap:
         return tuple(out)
 
     def pullback(self, form: OrdinaryForm) -> OrdinaryForm:
-        """f dx_I  ->  (f o m) dm_{i1} ^ ... ^ dm_{ip} on the source chart."""
+        """f dx_I  ->  (f o m) dm_{i1} ^ ... ^ dm_{ip} on the source chart.
+
+        One table serves the whole call: every monomial image of the
+        composition is built once, and every dm_I once, by extending the
+        wedge of its prefix.  Each composed coefficient is then multiplied
+        once by each component of its dm_I.
+        """
         if form.chart != self.target:
             raise MismatchError(
                 f"form on {form.chart!r} cannot pull back along a map into "
                 f"{self.target!r}"
             )
+        table = _MonomialTable(self.components, self.source.coordinates)
         dms = self.differentials()
-        out = OrdinaryForm.zero(self.source)
+        wedges = {(): OrdinaryForm.from_poly(self.source, table.one)}
+        wedges.update(((i,), dm_i) for i, dm_i in enumerate(dms))
+
+        def dm(indices: tuple[int, ...]) -> OrdinaryForm:
+            out = wedges.get(indices)
+            if out is None:
+                out = dm(indices[:-1]).wedge(dms[indices[-1]])
+                wedges[indices] = out
+            return out
+
+        acc: dict[tuple[int, ...], Poly] = {}
         for indices, poly in form.components.items():
-            term = OrdinaryForm.from_poly(self.source, self.compose_poly(poly))
-            for i in indices:
-                term = term.wedge(dms[i])
-            out = out + term
-        return out
+            minors = [
+                (key, minor)
+                for key, minor in dm(indices).components.items()
+                if self._keeps(key)
+            ]
+            if not minors:
+                continue
+            composed = table.compose(poly)
+            for key, minor in minors:
+                term = composed * minor
+                prev = acc.get(key)
+                acc[key] = term if prev is None else prev + term
+        return OrdinaryForm(self.source, acc)
+
+    def _keeps(self, indices: tuple[int, ...]) -> bool:
+        """Whether pullback computes the source component dx_indices: every
+        one here; a private subclass that needs only part of the pullback
+        drops the rest before the composed coefficients are multiplied."""
+        return True

@@ -76,6 +76,15 @@ class Plot:
         return PolyMap(self.domain, self.target, comps)
 
 
+class _DtPart(PolyMap):
+    """A plot's map from its cylinder, whose pullback keeps only the
+    components with a dt factor (time is cylinder coordinate 0): the only
+    part the t-integral sees, so the rest is never multiplied out."""
+
+    def _keeps(self, indices: tuple[int, ...]) -> bool:
+        return indices[:1] == (0,)
+
+
 def decompose(form: OrdinaryForm, time: str) -> tuple[OrdinaryForm, OrdinaryForm]:
     """Split a form on a chart containing `time` as dt ^ wdot + wbar.
 
@@ -108,7 +117,7 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
         raise MismatchError(
             f"form on {form.chart!r} does not live on {plot.target!r}"
         )
-    pulled = plot.as_map().pullback(form)
+    pulled = _DtPart(plot.cylinder, plot.target, plot.components).pullback(form)
     wdot, _ = decompose(pulled, plot.time)
     tindex = plot.cylinder.coordinates.index(plot.time)
     out: dict[tuple[int, ...], Poly] = {}

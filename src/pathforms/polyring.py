@@ -6,11 +6,20 @@ Fraction coefficients::
 
     5/2 * x**2 * y   over ("x", "y")   ->   {(2, 1): Fraction(5, 2)}
 
-The zero polynomial has an empty term mapping.  Constructors strip zero
-coefficients and sort exponent keys, so two polynomials over the same
-variable list are equal exactly when their term mappings are equal, and
-equality is plain structural comparison.  All arithmetic is exact;
-nothing here ever rounds.
+That mapping, `terms`, is a read-only view.  Inside, a Poly keeps integer
+numerators over one positive common denominator, reduced so that the
+denominator and all numerators share no factor::
+
+    {(2, 1): 5} over 2
+
+Arithmetic works on those integers and never normalises a Fraction per
+term product; the Fraction view is built once, when first read.
+
+The zero polynomial has no terms.  Constructors strip zero coefficients
+and sort exponent keys, so two polynomials over the same variable list
+are equal exactly when their terms are equal, and equality is plain
+structural comparison.  All arithmetic is exact; nothing here ever
+rounds.
 
 Variable lists are explicit and ordered.  Mixing polynomials over
 different variable lists raises MismatchError, never an implicit union:
@@ -20,6 +29,9 @@ silent unification is how pullback bugs hide.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 #: Scalars are exact rationals throughout the package.
@@ -39,6 +51,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """A tuple of plain ints; bools, floats and other non-integers are rejected."""
+    out = tuple(values)
+    if all(type(v) is int for v in out):
+        return out
+    for v in out:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{what} must be integers, got {v!r} in {out!r}")
+    return tuple(int(v) for v in out)
+
+
 class Poly:
     """A multivariate polynomial in canonical form.
 
@@ -47,7 +70,7 @@ class Poly:
     coefficient.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_nums", "_den", "_terms")
 
     def __init__(
         self,
@@ -60,18 +83,54 @@ class Poly:
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
             c = as_fraction(coeff)
-            if c == 0:
-                continue
-            e = tuple(int(x) for x in exps)
+            e = as_int_tuple(exps, "exponents")
             if len(e) != len(names):
                 raise ValueError(
                     f"exponent tuple {e!r} does not match variables {names!r}"
                 )
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e!r}")
-            clean[e] = c
+            if c:
+                clean[e] = c
+        view = dict(sorted(clean.items()))
+        den = lcm(*(c.denominator for c in view.values()))
         self.variables = names
-        self.terms = dict(sorted(clean.items()))
+        self._nums = {e: c.numerator * (den // c.denominator) for e, c in view.items()}
+        self._den = den
+        self._terms = MappingProxyType(view)
+
+    @classmethod
+    def _make(
+        cls, variables: tuple[str, ...], nums: dict[tuple[int, ...], int], den: int = 1
+    ) -> Poly:
+        """The trusted constructor for results computed from canonical
+        operands: drops zero numerators, sorts keys and reduces the common
+        denominator (which must be positive), but re-validates nothing."""
+        nums = {e: n for e, n in sorted(nums.items()) if n}
+        if den != 1:
+            if not nums:
+                den = 1
+            else:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    nums = {e: n // g for e, n in nums.items()}
+                    den //= g
+        self = object.__new__(cls)
+        self.variables = variables
+        self._nums = nums
+        self._den = den
+        self._terms = None
+        return self
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only mapping of exponent tuples to nonzero Fractions."""
+        view = self._terms
+        if view is None:
+            den = self._den
+            view = MappingProxyType({e: Fraction(n, den) for e, n in self._nums.items()})
+            self._terms = view
+        return view
 
     # -- constructors ------------------------------------------------------
 
@@ -96,21 +155,26 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self._nums), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self._den == other._den
+            and self._nums == other._nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self._den, tuple(self._nums.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -123,36 +187,60 @@ class Poly:
     def _coerce(self, other: Union[Poly, RationalLike]) -> Poly:
         if isinstance(other, Poly):
             return other
-        return Poly.const(self.variables, other)
+        c = as_fraction(other)
+        return Poly._make(
+            self.variables, {(0,) * len(self.variables): c.numerator}, c.denominator
+        )
 
-    def __add__(self, other: Union[Poly, RationalLike]) -> Poly:
+    def _add(self, other: Union[Poly, RationalLike], sign: int) -> Poly:
         other = self._coerce(other)
         self._require_same_variables(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(self.variables, out)
+        g = gcd(self._den, other._den)
+        sa, sb = other._den // g, self._den // g
+        out = {e: n * sa for e, n in self._nums.items()} if sa != 1 else dict(self._nums)
+        get = out.get
+        sb *= sign
+        for e, n in other._nums.items():
+            out[e] = get(e, 0) + n * sb
+        return Poly._make(self.variables, out, self._den * sa)
+
+    def __add__(self, other: Union[Poly, RationalLike]) -> Poly:
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.variables, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: Union[Poly, RationalLike]) -> Poly:
-        return self + (-self._coerce(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other: RationalLike) -> Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other: Union[Poly, RationalLike]) -> Poly:
-        other = self._coerce(other)
+        if not isinstance(other, Poly):
+            c = as_fraction(other)
+            p = c.numerator
+            return Poly._make(
+                self.variables,
+                {e: n * p for e, n in self._nums.items()},
+                self._den * c.denominator,
+            )
         self._require_same_variables(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Poly(self.variables, out)
+        big, small = self._nums, other._nums
+        if len(big) < len(small):
+            big, small = small, big
+        keys = list(big)
+        values = list(big.values())
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        # one row per term of the smaller operand: its exponent shifts every
+        # key of the larger one, its numerator scales every numerator
+        for eb, nb in small.items():
+            for key, n in zip([tuple(map(add, eb, ea)) for ea in keys], map(nb.__mul__, values)):
+                out[key] = get(key, 0) + n
+        return Poly._make(self.variables, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -169,15 +257,12 @@ class Poly:
     def pderiv(self, name: str) -> Poly:
         """Exact partial derivative with respect to one variable."""
         i = self._var_index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            n = exps[i]
-            if n == 0:
-                continue
-            e = list(exps)
-            e[i] = n - 1
-            out[tuple(e)] = coeff * n
-        return Poly(self.variables, out)
+        out = {
+            e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i]
+            for e, n in self._nums.items()
+            if e[i]
+        }
+        return Poly._make(self.variables, out, self._den)
 
     def defint01(self, name: str) -> Poly:
         """Definite integral over name in [0, 1]: t^n * m  ->  m / (n + 1).
@@ -186,14 +271,12 @@ class Poly:
         list (the exponent is zero everywhere).
         """
         i = self._var_index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = list(exps)
-            n = e[i]
-            e[i] = 0
-            key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + coeff / (n + 1)
-        return Poly(self.variables, out)
+        scale = lcm(*{e[i] + 1 for e in self._nums})
+        out: dict[tuple[int, ...], int] = {}
+        for e, n in self._nums.items():
+            key = e[:i] + (0,) + e[i + 1 :]
+            out[key] = out.get(key, 0) + n * (scale // (e[i] + 1))
+        return Poly._make(self.variables, out, self._den * scale)
 
     def compose(
         self,
@@ -224,40 +307,32 @@ class Poly:
                     f"substituted polynomials mix variable lists: "
                     f"{image.variables!r} vs {target!r}"
                 )
-        out = Poly.zero(target)
-        for exps, coeff in self.terms.items():
-            term = Poly.const(target, coeff)
-            for image, n in zip(images, exps):
-                for _ in range(n):
-                    term = term * image
-            out = out + term
-        return out
+        return _MonomialTable(images, target).compose(self)
 
     def set_var(self, name: str, value: RationalLike) -> Poly:
         """Substitute a rational constant for one variable, keeping the list."""
         i = self._var_index(name)
         c = as_fraction(value)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = list(exps)
-            n = e[i]
-            e[i] = 0
-            key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + coeff * c**n
-        return Poly(self.variables, out)
+        p, q = c.numerator, c.denominator
+        top = max((e[i] for e in self._nums), default=0)
+        out: dict[tuple[int, ...], int] = {}
+        for e, n in self._nums.items():
+            key = e[:i] + (0,) + e[i + 1 :]
+            out[key] = out.get(key, 0) + n * p ** e[i] * q ** (top - e[i])
+        return Poly._make(self.variables, out, self._den * q**top)
 
     def drop_var(self, name: str) -> Poly:
         """Remove a variable the polynomial does not actually use."""
         i = self._var_index(name)
-        if any(exps[i] for exps in self.terms):
+        if any(e[i] for e in self._nums):
             raise MismatchError(f"polynomial still depends on {name!r}")
         names = self.variables[:i] + self.variables[i + 1 :]
-        return Poly(names, {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()})
+        return Poly._make(names, {e[:i] + e[i + 1 :]: n for e, n in self._nums.items()}, self._den)
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
         for exps, coeff in self.terms.items():
@@ -277,4 +352,62 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        return f"Poly({self.variables!r}, {self.terms!r})"
+        return f"Poly({self.variables!r}, {dict(self.terms)!r})"
+
+
+class _MonomialTable:
+    """Images of monomials under one substitution, built once and shared by
+    every polynomial composed through it.
+
+    The image of x^e is the cached image of its longest proper prefix times
+    one power of a substituted polynomial; powers are built by squaring and
+    cached too, so x^400 takes ten multiplies, not 400.
+    """
+
+    def __init__(self, images: Iterable[Poly], target: tuple[str, ...]):
+        self.images = tuple(images)
+        self.target = target
+        self.one = Poly._make(target, {(0,) * len(target): 1})
+        self.powers = [{1: image} for image in self.images]
+        self.prefixes: dict[tuple[int, ...], Poly] = {(): self.one}
+
+    def power(self, i: int, k: int) -> Poly:
+        """images[i] ** k for k >= 1."""
+        cache = self.powers[i]
+        out = cache.get(k)
+        if out is None:
+            if k % 2:
+                out = self.power(i, k - 1) * self.images[i]
+            else:
+                half = self.power(i, k // 2)
+                out = half * half
+            cache[k] = out
+        return out
+
+    def monomial(self, exps: tuple[int, ...]) -> Poly:
+        """The image of the monomial with the given exponents."""
+        end = len(exps)
+        while end and not exps[end - 1]:
+            end -= 1
+        key = exps[:end]
+        out = self.prefixes.get(key)
+        if out is None:
+            head = self.monomial(key[:-1])
+            out = self.power(end - 1, key[-1])
+            if head is not self.one:
+                out = head * out
+            self.prefixes[key] = out
+        return out
+
+    def compose(self, poly: Poly) -> Poly:
+        """poly with every variable replaced by its image: the sum of the
+        coefficients times the monomial images, over one common denominator."""
+        pairs = [(n, self.monomial(e)) for e, n in poly._nums.items()]
+        den = lcm(*(image._den for _, image in pairs))
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for n, image in pairs:
+            scale = n * (den // image._den)
+            for e, m in image._nums.items():
+                out[e] = get(e, 0) + scale * m
+        return Poly._make(self.target, out, den * poly._den)

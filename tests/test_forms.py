@@ -1,5 +1,7 @@
 """Forms on a chart: wedge and differential signs, pullback laws."""
 
+from fractions import Fraction
+
 import pytest
 
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
@@ -103,6 +105,33 @@ def test_out_of_range_indices_rejected():
         OrdinaryForm(R2, {(2,): R2.const(1)})
     with pytest.raises(ValueError):
         OrdinaryForm(R2, {(1, 0): R2.const(1)})
+
+
+@pytest.mark.parametrize("indices", [(0.9,), (0, 1.0), (True,), ("1",)])
+def test_non_integer_indices_rejected(indices):
+    with pytest.raises(TypeError):
+        OrdinaryForm(R2, {indices: R2.const(1)})
+
+
+def test_non_integer_dx_index_rejected():
+    with pytest.raises(TypeError):
+        dx(R2, 0.9)
+
+
+def test_components_are_read_only():
+    w = dx(R2, 0)
+    with pytest.raises(TypeError):
+        w.components[(1,)] = R2.const(1)
+    with pytest.raises(TypeError):
+        del w.components[(0,)]
+    assert w == dx(R2, 0)
+
+
+def test_hash_agrees_with_equality():
+    a = dx(R2, 0).scale(R2.var(1))
+    b = OrdinaryForm(R2, {(0,): R2.var(1) * 2}).scale(Poly.const(R2.coordinates, 1) * Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, dx(R2, 1), -dx(R2, 1), dx(R2, 1) + dx(R2, 1) - dx(R2, 1)}) == 3
 
 
 def test_dim_zero_chart():

@@ -1,0 +1,163 @@
+"""Independent oracles for the polynomial kernel and the pullback table.
+
+`Poly` arithmetic, `compose`, `pderiv` and `defint01` are compared with
+sympy's sparse `ring(QQ)` (sympy is a test-only oracle, skipped when it is
+not installed).  `PolyMap.pullback` and `chen_integral` are compared with
+the textbook definition written out below: compose each coefficient term
+by term with repeated multiplication, then wedge by each dm_i in turn.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathforms.forms import Chart, OrdinaryForm
+from pathforms.pathspace import Plot, chen_integral, decompose, ev_pullback
+from pathforms.polyring import Poly
+from pathforms.verify import GenConfig, _chart, _rng, rand_form_mixed, rand_plot
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import QQ  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
+
+XY = ("x", "y")
+R, RX, RY = ring("x,y", QQ)
+
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
+polys = st.dictionaries(exponents, coeffs, max_size=6).map(lambda t: Poly(XY, t))
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
+).map(lambda t: Poly(XY, t))
+
+
+def to_ring(p: Poly):
+    return R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()})
+
+
+def from_ring(f) -> Poly:
+    return Poly(XY, {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in f.items()})
+
+
+@given(polys, polys)
+def test_ring_operations_match_sympy(a, b):
+    fa, fb = to_ring(a), to_ring(b)
+    assert a * b == from_ring(fa * fb)
+    assert a + b == from_ring(fa + fb)
+    assert a - b == from_ring(fa - fb)
+    assert -a == from_ring(-fa)
+    assert a * Fraction(-3, 4) == from_ring(fa * QQ(-3, 4))
+
+
+@given(polys)
+def test_terms_round_trip_through_sympy(a):
+    assert from_ring(to_ring(a)) == a
+    assert dict(a.terms) == {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in to_ring(a).items()}
+
+
+@settings(max_examples=50)
+@given(polys, small_polys, small_polys)
+def test_compose_matches_sympy(a, g, h):
+    expected = to_ring(a).compose([(RX, to_ring(g)), (RY, to_ring(h))])
+    assert a.compose({"x": g, "y": h}) == from_ring(expected)
+
+
+@given(polys)
+def test_pderiv_matches_sympy(a):
+    assert a.pderiv("x") == from_ring(to_ring(a).diff(RX))
+    assert a.pderiv("y") == from_ring(to_ring(a).diff(RY))
+
+
+@settings(max_examples=50)
+@given(polys)
+def test_defint01_matches_sympy(a):
+    x = sympy.Symbol("x")
+    expected = sympy.integrate(to_ring(a).as_expr(), (x, 0, 1))
+    assert a.defint01("x") == from_ring(R(expected))
+
+
+# -- pullback and the Chen integral against the wedge-by-each-dm_i definition --
+
+
+def compose_term_by_term(poly: Poly, images: tuple[Poly, ...], target: tuple[str, ...]) -> Poly:
+    out = Poly.zero(target)
+    for exps, coeff in poly.terms.items():
+        term = Poly.const(target, coeff)
+        for image, n in zip(images, exps):
+            for _ in range(n):
+                term = term * image
+        out = out + term
+    return out
+
+
+def pullback_by_each_dm(source: Chart, images: tuple[Poly, ...], form: OrdinaryForm) -> OrdinaryForm:
+    dms = [OrdinaryForm.from_poly(source, m).d() for m in images]
+    out = OrdinaryForm.zero(source)
+    for indices, poly in form.components.items():
+        composed = compose_term_by_term(poly, images, source.coordinates)
+        term = OrdinaryForm.from_poly(source, composed)
+        for i in indices:
+            term = term.wedge(dms[i])
+        out = out + term
+    return out
+
+
+def chen_by_definition(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
+    pulled = pullback_by_each_dm(plot.cylinder, plot.components, form)
+    wdot, _ = decompose(pulled, plot.time)
+    out = {}
+    for indices, poly in wdot.components.items():
+        shifted = tuple(i - 1 for i in indices)
+        out[shifted] = poly.defint01(plot.time).drop_var(plot.time)
+    return OrdinaryForm(plot.domain, out)
+
+
+def full_poly(rng: random.Random, variables: tuple[str, ...], degree: int) -> Poly:
+    return Poly(
+        variables,
+        {
+            exps: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for exps in itertools.product(range(degree + 1), repeat=len(variables))
+            if sum(exps) <= degree
+        },
+    )
+
+
+def random_cases():
+    """Small mixed-degree forms and plots from the suites' generators, then
+    dense ones (every coefficient full to degree 2) where terms merge."""
+    cfg = GenConfig(seed=23, trials=30)
+    for i in range(cfg.trials):
+        rng = _rng(cfg, "oracle-pullback", i)
+        chart = _chart(rng.randint(1, cfg.chart_dim))
+        yield rand_form_mixed(rng, chart, cfg), rand_plot(rng, chart, cfg)
+    rng = random.Random(5)
+    chart = Chart(("x1", "x2", "x3"))
+    domain = Chart(("u1", "u2"))
+    cylinder = ("t",) + domain.coordinates
+    for _ in range(3):
+        form = OrdinaryForm(
+            chart,
+            {
+                indices: full_poly(rng, chart.coordinates, 2)
+                for p in range(4)
+                for indices in itertools.combinations(range(3), p)
+            },
+        )
+        plot = Plot(chart, domain, tuple(full_poly(rng, cylinder, 2) for _ in range(3)))
+        yield form, plot
+
+
+@pytest.mark.parametrize("form, plot", list(random_cases()))
+def test_pullback_and_chen_match_wedge_by_each_dm(form, plot):
+    assert plot.as_map().pullback(form) == pullback_by_each_dm(plot.cylinder, plot.components, form)
+    assert chen_integral(form, plot) == chen_by_definition(form, plot)
+    for endpoint in (0, 1):
+        frozen = plot.endpoint_map(endpoint)
+        assert ev_pullback(endpoint, form, plot) == pullback_by_each_dm(
+            plot.domain, frozen.components, form
+        )

@@ -293,3 +293,11 @@ def test_degree_bounds_under_evaluation():
     assert eval_pathform(EvPull(1, w), curve_plot()).is_zero
     alpha = pair_encode(w, OrdinaryForm.zero(X2), 1)
     assert eval_pathform(map_I(alpha), curve_plot()).is_zero
+
+
+def test_expression_nodes_are_hashable():
+    w = dx(X2, 0)
+    a = Sum((EvPull(1, w), Scale(Fraction(-1), EvPull(0, w)), Chen(dx(X2, 0, 1))))
+    b = Sum((EvPull(1, dx(X2, 0)), Scale(-1, EvPull(0, w)), Chen(dx(X2, 0, 1))))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Diff(a), Wedge(a, a)}) == 3

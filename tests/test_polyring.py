@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: frozen instances plus ring laws."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -107,6 +108,70 @@ def test_floats_rejected():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         p({(1, 0): 0.5})
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (1.0,), (True,), (Fraction(1),), ("1",)])
+def test_non_integer_exponents_rejected(exps):
+    with pytest.raises(TypeError):
+        Poly(("x",), {exps: 1})
+
+
+def test_non_integer_exponent_rejected_even_with_zero_coefficient():
+    with pytest.raises(TypeError):
+        Poly(("x",), {(0.5,): 0})
+
+
+def test_terms_are_read_only():
+    q = p({(2, 0): 3})
+    with pytest.raises(TypeError):
+        q.terms[(2, 0)] = Fraction(0)
+    with pytest.raises(TypeError):
+        q.terms[(0, 1)] = Fraction(1)
+    with pytest.raises(AttributeError):
+        q.terms = {}
+    assert q == p({(2, 0): 3}) and not q.is_zero
+
+
+def test_repr_shows_the_term_dict():
+    assert repr(Poly(("x",), {(1,): Fraction(1, 2)})) == "Poly(('x',), {(1,): Fraction(1, 2)})"
+    assert repr(Poly.zero(XY)) == "Poly(('x', 'y'), {})"
+
+
+def test_hash_agrees_with_equality():
+    x = Poly.var(XY, "x")
+    half_x = x * Fraction(1, 2)
+    assert hash(half_x * 2) == hash(x)
+    assert hash(x * x) == hash(p({(2, 0): 1}))
+    assert hash((x + 1) - 1) == hash(x)
+    assert len({x, half_x * 2, x * x, p({(2, 0): 1}), Poly.zero(XY), x - x}) == 3
+    assert {x: "x"}[p({(1, 0): 1})] == "x"
+
+
+def test_arithmetic_results_are_canonical():
+    # a common denominator that cancels must not survive in the result
+    third = p({(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)})
+    assert third * 3 == p({(1, 0): 1, (0, 1): 2})
+    assert third + third + third == p({(1, 0): 1, (0, 1): 2})
+    assert (third - third).is_zero and third - third == Poly.zero(XY)
+    assert (third * 3).terms == {(1, 0): Fraction(1), (0, 1): Fraction(2)}
+
+
+def test_compose_high_power_matches_binomial_expansion():
+    # powers come from squaring: x^400 o (x + 1) stays a few dozen multiplies
+    xs = ("x",)
+    x_plus_1 = Poly(xs, {(1,): 1, (0,): 1})
+    result = Poly(xs, {(400,): 1}).compose({"x": x_plus_1})
+    assert result == Poly(xs, {(k,): comb(400, k) for k in range(401)})
+
+
+def test_compose_shares_images_between_monomials():
+    xs = ("x",)
+    x_plus_1 = Poly(xs, {(1,): 1, (0,): 1})
+    q = Poly(xs, {(5,): 1, (3,): -2, (2,): Fraction(1, 2), (0,): 7})
+    expected = Poly.const(xs, 7)
+    for k, c in ((5, 1), (3, -2), (2, Fraction(1, 2))):
+        expected = expected + Poly(xs, {(j,): c * comb(k, j) for j in range(k + 1)})
+    assert q.compose({"x": x_plus_1}) == expected
 
 
 def test_canonical_form():
