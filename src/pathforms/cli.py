@@ -16,12 +16,8 @@ from pathlib import Path
 from .forms import Chart
 from .pathspace import (
     Chen,
-    Diff,
     EvPull,
     PathFormExpr,
-    Scale,
-    Sum,
-    Wedge,
     chen_integral,
     ev_pullback,
     eval_pathform,
@@ -62,14 +58,8 @@ def _embedded_chart(expr: PathFormExpr) -> Chart | None:
     def walk(node: PathFormExpr) -> None:
         if isinstance(node, (EvPull, Chen)):
             charts.append(node.form.chart)
-        elif isinstance(node, Wedge):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Diff, Scale)):
-            walk(node.child)
-        elif isinstance(node, Sum):
-            for child in node.children:
-                walk(child)
+        for child in node.subexpressions():
+            walk(child)
 
     walk(expr)
     if not charts:

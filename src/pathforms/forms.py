@@ -16,11 +16,10 @@ graded slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
-from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, as_int_tuple
-from .signs import merge_indices, sort_with_sign
+from .polyring import MismatchError, Poly, RationalLike, _MonomialTable
+from .signs import SignedMonomials, merge_indices, sort_with_sign
 
 
 @dataclass(frozen=True)
@@ -46,43 +45,36 @@ class Chart:
         return Poly.var(self.coordinates, self.coordinates[index])
 
 
-class OrdinaryForm:
-    """A differential form with Poly coefficients on a fixed chart.
+class OrdinaryForm(SignedMonomials):
+    """A differential form with Poly coefficients on a fixed chart: a sum of
+    coefficients on the monomials dx_I, whose generators dx_i have degree 1.
 
     `components` is a read-only mapping from index tuples to nonzero Polys.
     """
 
-    __slots__ = ("chart", "components")
+    __slots__ = ()
+
+    SYMBOL = "dx"
 
     def __init__(
         self,
         chart: Chart,
         components: Mapping[tuple[int, ...], Poly] | None = None,
     ):
-        clean: dict[tuple[int, ...], Poly] = {}
-        for indices, poly in (components or {}).items():
-            idx = as_int_tuple(indices, "form indices")
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx!r} is not strictly increasing")
-            if idx and (idx[0] < 0 or idx[-1] >= chart.dim):
-                raise ValueError(f"index tuple {idx!r} out of range for {chart!r}")
-            if poly.variables != chart.coordinates:
-                raise MismatchError(
-                    f"coefficient over {poly.variables!r} does not live on {chart!r}"
-                )
-            if poly.is_zero:
-                continue
-            clean[idx] = poly
-        self.chart = chart
-        self.components = MappingProxyType(
-            dict(sorted(clean.items(), key=lambda kv: (len(kv[0]), kv[0])))
-        )
+        super().__init__(chart, len(chart.coordinates), components)
+
+    @property
+    def chart(self) -> Chart:
+        return self._context
+
+    def _checked(self, poly: Poly) -> Poly:
+        if poly.variables != self._context.coordinates:
+            raise MismatchError(
+                f"coefficient over {poly.variables!r} does not live on {self.chart!r}"
+            )
+        return poly
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, chart: Chart) -> OrdinaryForm:
-        return cls(chart)
 
     @classmethod
     def from_poly(cls, chart: Chart, poly: Poly) -> OrdinaryForm:
@@ -100,106 +92,22 @@ class OrdinaryForm:
         poly = coeff if isinstance(coeff, Poly) else chart.const(coeff)
         return cls(chart, {tuple(indices): poly})
 
-    # -- predicates and degree bookkeeping -----------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __bool__(self) -> bool:
-        return bool(self.components)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrdinaryForm):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((self.chart, tuple(self.components.items())))
-
-    def degrees(self) -> set[int]:
-        """The set of degrees with a nonzero component."""
-        return {len(indices) for indices in self.components}
-
-    def degree(self) -> Optional[int]:
-        """Degree of a homogeneous form; None for zero, error when mixed."""
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"form mixes degrees {sorted(degs)}")
-        return degs.pop()
-
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        """Zero counts as homogeneous of every degree."""
-        degs = self.degrees()
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def homogeneous_parts(self) -> dict[int, OrdinaryForm]:
-        parts: dict[int, dict[tuple[int, ...], Poly]] = {}
-        for indices, poly in self.components.items():
-            parts.setdefault(len(indices), {})[indices] = poly
-        return {p: OrdinaryForm(self.chart, comp) for p, comp in parts.items()}
-
-    def part(self, degree: int) -> OrdinaryForm:
-        """The homogeneous piece of the given degree (zero when absent)."""
-        comp = {i: f for i, f in self.components.items() if len(i) == degree}
-        return OrdinaryForm(self.chart, comp)
-
-    # -- linear structure ----------------------------------------------------
-
-    def _require_same_chart(self, other: OrdinaryForm) -> None:
-        if self.chart != other.chart:
-            raise MismatchError(f"charts differ: {self.chart!r} vs {other.chart!r}")
-
-    def __add__(self, other: OrdinaryForm) -> OrdinaryForm:
-        self._require_same_chart(other)
-        out = dict(self.components)
-        for indices, poly in other.components.items():
-            prev = out.get(indices)
-            out[indices] = poly if prev is None else prev + poly
-        return OrdinaryForm(self.chart, out)
-
-    def __neg__(self) -> OrdinaryForm:
-        return OrdinaryForm(self.chart, {i: -p for i, p in self.components.items()})
-
-    def __sub__(self, other: OrdinaryForm) -> OrdinaryForm:
-        return self + (-other)
+    # -- algebra ---------------------------------------------------------------
 
     def scale(self, value: Union[Poly, RationalLike]) -> OrdinaryForm:
         factor = value if isinstance(value, Poly) else self.chart.const(value)
-        return OrdinaryForm(
-            self.chart, {i: p * factor for i, p in self.components.items()}
-        )
-
-    # -- graded algebra ------------------------------------------------------
+        return self._new({i: p * factor for i, p in self.components.items()})
 
     def wedge(self, other: OrdinaryForm) -> OrdinaryForm:
         """Exterior product; signs from the merge parity of index tuples."""
-        self._require_same_chart(other)
-        acc: dict[tuple[int, ...], Poly] = {}
-        for left, f in self.components.items():
-            for right, g in other.components.items():
-                merged = merge_indices(left, right)
-                if merged is None:
-                    continue
-                sign, key = merged
-                term = f * g
-                if sign < 0:
-                    term = -term
-                prev = acc.get(key)
-                acc[key] = term if prev is None else prev + term
-        return OrdinaryForm(self.chart, acc)
+        return self._product(other)
 
     def d(self) -> OrdinaryForm:
         """Exterior differential: f dx_I  ->  sum_j (d_j f) dx_j ^ dx_I."""
+        coordinates = self._context.coordinates
         acc: dict[tuple[int, ...], Poly] = {}
         for indices, poly in self.components.items():
-            for j, name in enumerate(self.chart.coordinates):
+            for j, name in enumerate(coordinates):
                 df = poly.pderiv(name)
                 if df.is_zero:
                     continue
@@ -210,16 +118,7 @@ class OrdinaryForm:
                 term = df if sign > 0 else -df
                 prev = acc.get(key)
                 acc[key] = term if prev is None else prev + term
-        return OrdinaryForm(self.chart, acc)
-
-    def __repr__(self) -> str:
-        if not self.components:
-            return "OrdinaryForm(0)"
-        parts = [
-            f"({poly})*dx{list(indices)}" if indices else f"({poly})"
-            for indices, poly in self.components.items()
-        ]
-        return "OrdinaryForm(" + " + ".join(parts) + ")"
+        return self._new(acc)
 
 
 def dx(chart: Chart, *indices: int) -> OrdinaryForm:

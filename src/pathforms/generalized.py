@@ -17,18 +17,27 @@ a_p + a_{p+1} z; pair_encode / pair_decode move between the two views.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from .forms import Chart, OrdinaryForm
 from .koszul import KoszulElement, KoszulParams
 from .polyring import MismatchError, Poly, RationalLike
-from .signs import merge_indices, sort_with_sign
+from .signs import SignedMonomials, sort_with_sign
 
 
-class GeneralizedForm:
-    """A sum of ordinary forms tensored with z-monomials."""
+def _odd_negated(form: OrdinaryForm) -> OrdinaryForm:
+    """(-1)^p times the degree-p part of a form, summed over p."""
+    return form._new({i: -f if len(i) % 2 else f for i, f in form.components.items()})
 
-    __slots__ = ("chart", "params", "components")
+
+class GeneralizedForm(SignedMonomials):
+    """A sum of ordinary forms tensored with z-monomials: ordinary-form
+    coefficients on the monomials z_S, whose generators z_i have degree -1."""
+
+    __slots__ = ()
+
+    GENERATOR_DEGREE = -1
+    SYMBOL = "z"
 
     def __init__(
         self,
@@ -36,29 +45,24 @@ class GeneralizedForm:
         params: KoszulParams,
         components: Mapping[tuple[int, ...], OrdinaryForm] | None = None,
     ):
-        clean: dict[tuple[int, ...], OrdinaryForm] = {}
-        for indices, form in (components or {}).items():
-            idx = tuple(int(i) for i in indices)
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx!r} is not strictly increasing")
-            if idx and (idx[0] < 0 or idx[-1] >= params.n):
-                raise ValueError(f"index tuple {idx!r} out of range for n={params.n}")
-            if form.chart != chart:
-                raise MismatchError(
-                    f"component on {form.chart!r} does not live on {chart!r}"
-                )
-            if form.is_zero:
-                continue
-            clean[idx] = form
-        self.chart = chart
-        self.params = params
-        self.components = dict(sorted(clean.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        super().__init__((chart, params), params.n, components)
+
+    @property
+    def chart(self) -> Chart:
+        return self._context[0]
+
+    @property
+    def params(self) -> KoszulParams:
+        return self._context[1]
+
+    def _checked(self, form: OrdinaryForm) -> OrdinaryForm:
+        if form._context != self._context[0]:
+            raise MismatchError(
+                f"component on {form.chart!r} does not live on {self.chart!r}"
+            )
+        return form
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, chart: Chart, params: KoszulParams) -> GeneralizedForm:
-        return cls(chart, params)
 
     @classmethod
     def one(cls, chart: Chart, params: KoszulParams) -> GeneralizedForm:
@@ -92,145 +96,36 @@ class GeneralizedForm:
         }
         return cls(chart, element.params, comps)
 
-    # -- predicates and degree bookkeeping -----------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __bool__(self) -> bool:
-        return bool(self.components)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneralizedForm):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.params == other.params
-            and self.components == other.components
-        )
-
-    def degrees(self) -> set[int]:
-        """Total degrees present: ordinary degree minus z-monomial length."""
-        out: set[int] = set()
-        for indices, form in self.components.items():
-            for p in form.degrees():
-                out.add(p - len(indices))
-        return out
-
-    def degree(self) -> Optional[int]:
-        """Degree of a homogeneous element; None for zero, error when mixed."""
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"element mixes degrees {sorted(degs)}")
-        return degs.pop()
-
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def part(self, degree: int) -> GeneralizedForm:
-        """The homogeneous piece of the given total degree."""
-        comps = {
-            indices: form.part(degree + len(indices))
-            for indices, form in self.components.items()
-        }
-        return GeneralizedForm(self.chart, self.params, comps)
-
     def component(self, indices: tuple[int, ...]) -> OrdinaryForm:
         """The ordinary form paired with z_indices (zero when absent)."""
         return self.components.get(tuple(indices), OrdinaryForm.zero(self.chart))
 
-    # -- linear structure ----------------------------------------------------
-
-    def _require_compatible(self, other: GeneralizedForm) -> None:
-        if self.chart != other.chart:
-            raise MismatchError(f"charts differ: {self.chart!r} vs {other.chart!r}")
-        if self.params != other.params:
-            raise MismatchError(
-                f"parameters differ: {self.params!r} vs {other.params!r}"
-            )
-
-    def __add__(self, other: GeneralizedForm) -> GeneralizedForm:
-        self._require_compatible(other)
-        out = dict(self.components)
-        for indices, form in other.components.items():
-            prev = out.get(indices)
-            out[indices] = form if prev is None else prev + form
-        return GeneralizedForm(self.chart, self.params, out)
-
-    def __neg__(self) -> GeneralizedForm:
-        return GeneralizedForm(
-            self.chart, self.params, {i: -f for i, f in self.components.items()}
-        )
-
-    def __sub__(self, other: GeneralizedForm) -> GeneralizedForm:
-        return self + (-other)
+    # -- graded algebra ------------------------------------------------------
 
     def scale(self, value: Union[Poly, RationalLike]) -> GeneralizedForm:
-        return GeneralizedForm(
-            self.chart,
-            self.params,
-            {i: f.scale(value) for i, f in self.components.items()},
-        )
+        return self._new({i: f.scale(value) for i, f in self.components.items()})
 
-    # -- graded algebra ------------------------------------------------------
+    def _times(self, odd: bool, a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
+        """The tensor sign (-1)^{|S| q} against the degree-q part of b: with
+        |S| odd, the odd-degree parts of b change sign."""
+        return a.wedge(_odd_negated(b) if odd else b)
 
     def wedge(self, other: GeneralizedForm) -> GeneralizedForm:
         """Product with the tensor sign (-1)^{|S| q} against the ordinary
         degree-q part of the right factor."""
-        self._require_compatible(other)
-        acc: dict[tuple[int, ...], OrdinaryForm] = {}
-        for left, a in self.components.items():
-            for right, b in other.components.items():
-                merged = merge_indices(left, right)
-                if merged is None:
-                    continue
-                zsign, key = merged
-                for q, bq in b.homogeneous_parts().items():
-                    sign = zsign * (-1 if (len(left) * q) % 2 else 1)
-                    term = a.wedge(bq)
-                    if sign < 0:
-                        term = -term
-                    prev = acc.get(key)
-                    acc[key] = term if prev is None else prev + term
-        return GeneralizedForm(self.chart, self.params, acc)
+        return self._product(other)
 
     def d(self) -> GeneralizedForm:
-        """The degree +1 differential of the tensor product complex."""
-        acc: dict[tuple[int, ...], OrdinaryForm] = {}
-
-        def put(key: tuple[int, ...], form: OrdinaryForm) -> None:
-            prev = acc.get(key)
-            acc[key] = form if prev is None else prev + form
-
-        for indices, form in self.components.items():
-            put(indices, form.d())
-            for p, fp in form.homogeneous_parts().items():
-                front = -1 if p % 2 else 1
-                for j, i in enumerate(indices):
-                    key = indices[:j] + indices[j + 1 :]
-                    sign = front * (-1 if j % 2 else 1)
-                    coeff = sign * self.params.constants[i]
-                    if coeff == 0:
-                        continue
-                    put(key, fp.scale(coeff))
-        return GeneralizedForm(self.chart, self.params, acc)
-
-    def __repr__(self) -> str:
-        if not self.components:
-            return "GeneralizedForm(0)"
-        parts = [
-            f"{form!r}*z{list(indices)}" if indices else f"{form!r}"
-            for indices, form in self.components.items()
-        ]
-        return "GeneralizedForm(" + " + ".join(parts) + ")"
+        """The degree +1 differential of the tensor product complex: the
+        ordinary d on each component, plus the Koszul contraction, whose
+        constants pass each component a with the sign (-1)^{deg a}."""
+        chart = self.chart
+        constants = tuple(
+            OrdinaryForm.from_poly(chart, chart.const(k)) for k in self.params.constants
+        )
+        return self._contract(
+            constants, {i: f.d() for i, f in self.components.items()}
+        )
 
 
 def pair_encode(
@@ -241,18 +136,15 @@ def pair_encode(
     The inputs must be homogeneous with deg a_next = deg a_p + 1 when both
     are nonzero (a zero member puts no constraint).
     """
-    if a_p.chart != a_next.chart:
-        raise MismatchError(
-            f"charts differ: {a_p.chart!r} vs {a_next.chart!r}"
-        )
+    params = KoszulParams((k,))
+    out = GeneralizedForm(a_p.chart, params, {(): a_p, (0,): a_next})
     dp = a_p.degree()
     dn = a_next.degree()
     if dp is not None and dn is not None and dn != dp + 1:
         raise ValueError(
             f"pair degrees {dp} and {dn} are not consecutive"
         )
-    params = KoszulParams((k,))
-    return GeneralizedForm(a_p.chart, params, {(): a_p, (0,): a_next})
+    return out
 
 
 def pair_decode(a: GeneralizedForm) -> tuple[OrdinaryForm, OrdinaryForm]:

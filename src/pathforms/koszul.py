@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .polyring import MismatchError, RationalLike, as_fraction
-from .signs import merge_indices
+from .polyring import RationalLike, as_fraction
+from .signs import SignedMonomials
 
 
 @dataclass(frozen=True)
@@ -44,37 +44,36 @@ class KoszulParams:
         return len(self.constants)
 
 
-class KoszulElement:
-    """An element of the Koszul algebra for fixed parameters."""
+class KoszulElement(SignedMonomials):
+    """An element of the Koszul algebra for fixed parameters: a sum of
+    rational coefficients on the monomials z_S, whose generators z_i have
+    degree -1."""
 
-    __slots__ = ("params", "terms")
+    __slots__ = ()
+
+    GENERATOR_DEGREE = -1
+    SYMBOL = "z"
 
     def __init__(
         self,
         params: KoszulParams,
         terms: Mapping[tuple[int, ...], RationalLike] | None = None,
     ):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for indices, coeff in (terms or {}).items():
-            idx = tuple(int(i) for i in indices)
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx!r} is not strictly increasing")
-            if idx and (idx[0] < 0 or idx[-1] >= params.n):
-                raise ValueError(
-                    f"index tuple {idx!r} out of range for n={params.n}"
-                )
-            value = as_fraction(coeff)
-            if value == 0:
-                continue
-            clean[idx] = value
-        self.params = params
-        self.terms = dict(sorted(clean.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        super().__init__(params, params.n, terms)
+
+    @property
+    def params(self) -> KoszulParams:
+        return self._context
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """The read-only mapping from index tuples to nonzero Fractions."""
+        return self.components
+
+    def _checked(self, coeff: RationalLike) -> Fraction:
+        return as_fraction(coeff)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, params: KoszulParams) -> KoszulElement:
-        return cls(params)
 
     @classmethod
     def scalar(cls, params: KoszulParams, value: RationalLike) -> KoszulElement:
@@ -84,104 +83,16 @@ class KoszulElement:
     def generator(cls, params: KoszulParams, index: int) -> KoszulElement:
         return cls(params, {(index,): 1})
 
-    # -- predicates and degree bookkeeping -----------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KoszulElement):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
-
-    def degrees(self) -> set[int]:
-        """The set of (nonpositive) degrees with a nonzero term."""
-        return {-len(indices) for indices in self.terms}
-
-    def degree(self) -> Optional[int]:
-        """Degree of a homogeneous element; None for zero, error when mixed."""
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"element mixes degrees {sorted(degs)}")
-        return degs.pop()
-
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
-
-    def part(self, degree: int) -> KoszulElement:
-        """The homogeneous piece of the given degree (zero when absent)."""
-        terms = {i: c for i, c in self.terms.items() if -len(i) == degree}
-        return KoszulElement(self.params, terms)
-
     # -- algebra -------------------------------------------------------------
-
-    def _require_same_params(self, other: KoszulElement) -> None:
-        if self.params != other.params:
-            raise MismatchError(
-                f"parameters differ: {self.params!r} vs {other.params!r}"
-            )
-
-    def __add__(self, other: KoszulElement) -> KoszulElement:
-        self._require_same_params(other)
-        out = dict(self.terms)
-        for indices, coeff in other.terms.items():
-            out[indices] = out.get(indices, Fraction(0)) + coeff
-        return KoszulElement(self.params, out)
-
-    def __neg__(self) -> KoszulElement:
-        return KoszulElement(self.params, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other: KoszulElement) -> KoszulElement:
-        return self + (-other)
 
     def scale(self, value: RationalLike) -> KoszulElement:
         factor = as_fraction(value)
-        return KoszulElement(
-            self.params, {i: c * factor for i, c in self.terms.items()}
-        )
+        return self._new({i: c * factor for i, c in self.components.items()})
 
     def mul(self, other: KoszulElement) -> KoszulElement:
         """Exterior product; signs from the merge parity of index tuples."""
-        self._require_same_params(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for left, a in self.terms.items():
-            for right, b in other.terms.items():
-                merged = merge_indices(left, right)
-                if merged is None:
-                    continue
-                sign, key = merged
-                acc[key] = acc.get(key, Fraction(0)) + sign * a * b
-        return KoszulElement(self.params, acc)
+        return self._product(other)
 
     def d(self) -> KoszulElement:
         """The degree +1 differential determined by d(z_i) = k_i."""
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for indices, coeff in self.terms.items():
-            for j, i in enumerate(indices):
-                key = indices[:j] + indices[j + 1 :]
-                sign = -1 if j % 2 else 1
-                acc[key] = (
-                    acc.get(key, Fraction(0))
-                    + sign * self.params.constants[i] * coeff
-                )
-        return KoszulElement(self.params, acc)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "KoszulElement(0)"
-        parts = [
-            f"({coeff})*z{list(indices)}" if indices else f"({coeff})"
-            for indices, coeff in self.terms.items()
-        ]
-        return "KoszulElement(" + " + ".join(parts) + ")"
+        return self._contract(self.params.constants, {})

@@ -21,7 +21,7 @@ is well defined in degrees >= 1 where map_I is injective (k nonzero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .forms import Chart, OrdinaryForm, PolyMap
@@ -111,12 +111,9 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     """Integrate the dt-component of the plot pullback over t in [0,1].
 
     Sends a (p+1)-form on the target to a p-form on the plot's domain;
-    functions go to 0 because their pullback has no dt part.
+    functions go to 0 because their pullback has no dt part.  A form off
+    the plot's target is refused by the pullback.
     """
-    if form.chart != plot.target:
-        raise MismatchError(
-            f"form on {form.chart!r} does not live on {plot.target!r}"
-        )
     pulled = _DtPart(plot.cylinder, plot.target, plot.components).pullback(form)
     wdot, _ = decompose(pulled, plot.time)
     tindex = plot.cylinder.coordinates.index(plot.time)
@@ -129,10 +126,6 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
 
 def ev_pullback(endpoint: int, form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     """Pull a target form back along the endpoint evaluation of the plot."""
-    if form.chart != plot.target:
-        raise MismatchError(
-            f"form on {form.chart!r} does not live on {plot.target!r}"
-        )
     return plot.endpoint_map(endpoint).pullback(form)
 
 
@@ -143,6 +136,17 @@ class PathFormExpr:
     """Base class for symbolic path-space forms."""
 
     __slots__ = ()
+
+    def subexpressions(self) -> tuple[PathFormExpr, ...]:
+        """The direct subexpressions, in field order."""
+        out: list[PathFormExpr] = []
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, PathFormExpr):
+                out.append(value)
+            elif isinstance(value, tuple):
+                out.extend(value)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -266,7 +270,7 @@ def map_I(a: GeneralizedForm) -> PathFormExpr:
 
 
 def _check_transportable(a: GeneralizedForm, b: GeneralizedForm) -> None:
-    a._require_compatible(b)
+    a._require_same(b)
     if a.params.n != 1:
         raise ValueError(f"transported product requires n=1, got n={a.params.n}")
     if a.params.constants[0] == 0:

@@ -20,8 +20,9 @@ newline) so equal values always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from .forms import Chart, OrdinaryForm
 from .generalized import GeneralizedForm
@@ -52,6 +53,19 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply") from e
+
+
+def _construct(make: Callable[..., Any], *args: Any) -> Any:
+    """make(*args), with a ValueError other than a MismatchError reported as
+    a ParseError: the document's values fail the constructor's own checks."""
+    try:
+        return make(*args)
+    except MismatchError:
+        raise
+    except ValueError as e:
+        raise ParseError(str(e)) from e
 
 
 # -- rationals ----------------------------------------------------------------
@@ -90,31 +104,37 @@ def _expect_indices(doc: Any, what: str) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _entries(
+    mapping: Mapping[tuple[int, ...], Any], key: str, value: str, encode: Callable
+) -> list:
+    """The document of a mapping from index tuples: a list of
+    {key: [ints], value: encoded value} objects, in the mapping's order."""
+    return [{key: list(indices), value: encode(v)} for indices, v in mapping.items()]
+
+
+def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
+    """A list of {key: [ints], value: ...} objects as a dict from index
+    tuples to parsed values; a repeated index tuple is an error."""
+    out: dict[tuple[int, ...], Any] = {}
+    for item in _expect_list(doc, what):
+        obj = _expect_object(item, f"an entry of {what}")
+        indices = _expect_indices(obj.get(key), f"{what} {key}")
+        if indices in out:
+            raise ParseError(f"duplicate {key} {list(indices)} in {what}")
+        out[indices] = parse(obj.get(value))
+    return out
+
+
 # -- polynomials --------------------------------------------------------------
 
 
 def poly_to_doc(poly: Poly) -> list:
-    return [
-        {"coeff": frac_to_str(coeff), "exps": list(exps)}
-        for exps, coeff in poly.terms.items()
-    ]
+    return _entries(poly.terms, "exps", "coeff", frac_to_str)
 
 
 def poly_from_doc(doc: Any, variables: tuple[str, ...]) -> Poly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for item in _expect_list(doc, "a polynomial"):
-        obj = _expect_object(item, "a polynomial term")
-        exps = _expect_indices(obj.get("exps"), "term exponents")
-        coeff = frac_from_str(obj.get("coeff"))
-        if exps in terms:
-            raise ParseError(f"duplicate exponent vector {list(exps)}")
-        terms[exps] = coeff
-    try:
-        return Poly(variables, terms)
-    except MismatchError:
-        raise
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    terms = _keyed(doc, "exps", "coeff", frac_from_str, "a polynomial")
+    return _construct(Poly, variables, terms)
 
 
 # -- charts and forms ---------------------------------------------------------
@@ -129,38 +149,27 @@ def chart_from_doc(doc: Any) -> Chart:
     for name in names:
         if not isinstance(name, str):
             raise ParseError(f"expected coordinate names, got {name!r}")
-    try:
-        return Chart(tuple(names))
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    return _construct(Chart, tuple(names))
 
 
 def form_to_doc(form: OrdinaryForm) -> dict:
     return {
         "chart": chart_to_doc(form.chart),
-        "components": [
-            {"indices": list(indices), "poly": poly_to_doc(poly)}
-            for indices, poly in form.components.items()
-        ],
+        "components": _entries(form.components, "indices", "poly", poly_to_doc),
     }
 
 
 def form_from_doc(doc: Any) -> OrdinaryForm:
     obj = _expect_object(doc, "a form")
     chart = chart_from_doc(obj.get("chart"))
-    components: dict[tuple[int, ...], Poly] = {}
-    for item in _expect_list(obj.get("components"), "form components"):
-        comp = _expect_object(item, "a form component")
-        indices = _expect_indices(comp.get("indices"), "component indices")
-        if indices in components:
-            raise ParseError(f"duplicate index tuple {list(indices)}")
-        components[indices] = poly_from_doc(comp.get("poly"), chart.coordinates)
-    try:
-        return OrdinaryForm(chart, components)
-    except MismatchError:
-        raise
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    components = _keyed(
+        obj.get("components"),
+        "indices",
+        "poly",
+        lambda poly: poly_from_doc(poly, chart.coordinates),
+        "form components",
+    )
+    return _construct(OrdinaryForm, chart, components)
 
 
 # -- the Koszul algebra -------------------------------------------------------
@@ -183,29 +192,15 @@ def koszul_params_from_doc(doc: Any) -> KoszulParams:
 
 def koszul_to_doc(element: KoszulElement) -> dict:
     doc = koszul_params_to_doc(element.params)
-    doc["terms"] = [
-        {"zetas": list(indices), "coeff": frac_to_str(coeff)}
-        for indices, coeff in element.terms.items()
-    ]
+    doc["terms"] = _entries(element.terms, "zetas", "coeff", frac_to_str)
     return doc
 
 
 def koszul_from_doc(doc: Any) -> KoszulElement:
     obj = _expect_object(doc, "a Koszul element")
     params = koszul_params_from_doc(obj)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for item in _expect_list(obj.get("terms"), "Koszul terms"):
-        term = _expect_object(item, "a Koszul term")
-        indices = _expect_indices(term.get("zetas"), "generator indices")
-        if indices in terms:
-            raise ParseError(f"duplicate generator tuple {list(indices)}")
-        terms[indices] = frac_from_str(term.get("coeff"))
-    try:
-        return KoszulElement(params, terms)
-    except MismatchError:
-        raise
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    terms = _keyed(obj.get("terms"), "zetas", "coeff", frac_from_str, "Koszul terms")
+    return _construct(KoszulElement, params, terms)
 
 
 # -- generalized forms --------------------------------------------------------
@@ -215,10 +210,7 @@ def gen_to_doc(value: GeneralizedForm) -> dict:
     return {
         "chart": chart_to_doc(value.chart),
         "koszul": koszul_params_to_doc(value.params),
-        "components": [
-            {"zetas": list(indices), "form": form_to_doc(form)}
-            for indices, form in value.components.items()
-        ],
+        "components": _entries(value.components, "zetas", "form", form_to_doc),
     }
 
 
@@ -226,19 +218,10 @@ def gen_from_doc(doc: Any) -> GeneralizedForm:
     obj = _expect_object(doc, "a generalized form")
     chart = chart_from_doc(obj.get("chart"))
     params = koszul_params_from_doc(obj.get("koszul"))
-    components: dict[tuple[int, ...], OrdinaryForm] = {}
-    for item in _expect_list(obj.get("components"), "components"):
-        comp = _expect_object(item, "a component")
-        indices = _expect_indices(comp.get("zetas"), "generator indices")
-        if indices in components:
-            raise ParseError(f"duplicate generator tuple {list(indices)}")
-        components[indices] = form_from_doc(comp.get("form"))
-    try:
-        return GeneralizedForm(chart, params, components)
-    except MismatchError:
-        raise
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    components = _keyed(
+        obj.get("components"), "zetas", "form", form_from_doc, "components"
+    )
+    return _construct(GeneralizedForm, chart, params, components)
 
 
 # -- plots ---------------------------------------------------------------------
@@ -281,62 +264,58 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
         poly_from_doc(item, cylinder)
         for item in _expect_list(obj.get("components"), "plot components")
     )
-    try:
-        return Plot(target, domain, components)
-    except MismatchError:
-        raise
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    return _construct(Plot, target, domain, components)
 
 
 # -- path-form expressions ------------------------------------------------------
 
 
+# A node's document holds its class name under "node" and each dataclass
+# field under the field's name, coded by the field's annotated type.
+_NODES = {cls.__name__: cls for cls in (EvPull, Chen, Wedge, Diff, Sum, Scale)}
+
+
 def expr_to_doc(expr: PathFormExpr) -> dict:
-    if isinstance(expr, EvPull):
-        return {
-            "node": "EvPull",
-            "endpoint": expr.endpoint,
-            "form": form_to_doc(expr.form),
-        }
-    if isinstance(expr, Chen):
-        return {"node": "Chen", "form": form_to_doc(expr.form)}
-    if isinstance(expr, Wedge):
-        return {
-            "node": "Wedge",
-            "left": expr_to_doc(expr.left),
-            "right": expr_to_doc(expr.right),
-        }
-    if isinstance(expr, Diff):
-        return {"node": "Diff", "child": expr_to_doc(expr.child)}
-    if isinstance(expr, Sum):
-        return {"node": "Sum", "children": [expr_to_doc(c) for c in expr.children]}
-    if isinstance(expr, Scale):
-        return {
-            "node": "Scale",
-            "coeff": frac_to_str(expr.coeff),
-            "child": expr_to_doc(expr.child),
-        }
-    raise TypeError(f"not a path-form expression: {expr!r}")
+    name = type(expr).__name__
+    if _NODES.get(name) is not type(expr):
+        raise TypeError(f"not a path-form expression: {expr!r}")
+    doc: dict[str, Any] = {"node": name}
+    for field in fields(expr):
+        value = getattr(expr, field.name)
+        if field.type == "OrdinaryForm":
+            value = form_to_doc(value)
+        elif field.type == "Fraction":
+            value = frac_to_str(value)
+        elif field.type == "PathFormExpr":
+            value = expr_to_doc(value)
+        elif field.type == "tuple[PathFormExpr, ...]":
+            value = [expr_to_doc(child) for child in value]
+        doc[field.name] = value
+    return doc
 
 
 def expr_from_doc(doc: Any) -> PathFormExpr:
-    obj = _expect_object(doc, "an expression")
-    node = obj.get("node")
-    if node == "EvPull":
-        endpoint = obj.get("endpoint")
-        if endpoint not in (0, 1) or isinstance(endpoint, bool):
-            raise ParseError(f"expected endpoint 0 or 1, got {endpoint!r}")
-        return EvPull(endpoint, form_from_doc(obj.get("form")))
-    if node == "Chen":
-        return Chen(form_from_doc(obj.get("form")))
-    if node == "Wedge":
-        return Wedge(expr_from_doc(obj.get("left")), expr_from_doc(obj.get("right")))
-    if node == "Diff":
-        return Diff(expr_from_doc(obj.get("child")))
-    if node == "Sum":
-        children = _expect_list(obj.get("children"), "sum children")
-        return Sum(tuple(expr_from_doc(c) for c in children))
-    if node == "Scale":
-        return Scale(frac_from_str(obj.get("coeff")), expr_from_doc(obj.get("child")))
-    raise ParseError(f"unknown expression node {node!r}")
+    try:
+        obj = _expect_object(doc, "an expression")
+        node = obj.get("node")
+        cls = _NODES.get(node) if isinstance(node, str) else None
+        if cls is None:
+            raise ParseError(f"unknown expression node {node!r}")
+        args = []
+        for field in fields(cls):
+            value = obj.get(field.name)
+            if field.type == "OrdinaryForm":
+                value = form_from_doc(value)
+            elif field.type == "Fraction":
+                value = frac_from_str(value)
+            elif field.type == "PathFormExpr":
+                value = expr_from_doc(value)
+            elif field.type == "tuple[PathFormExpr, ...]":
+                items = _expect_list(value, f"{node} {field.name}")
+                value = tuple(expr_from_doc(child) for child in items)
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ParseError(f"expected an integer {field.name}, got {value!r}")
+            args.append(value)
+        return _construct(cls, *args)
+    except RecursionError as e:
+        raise ParseError("expression nested too deeply") from e

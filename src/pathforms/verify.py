@@ -36,7 +36,7 @@ from .pathspace import (
 )
 from .polyring import Poly
 from .serialize import form_to_doc, gen_to_doc, koszul_to_doc, plot_to_doc
-from .witnesses import injectivity_witnesses
+from .witnesses import Witness, injectivity_witnesses
 
 
 @dataclass(frozen=True)
@@ -272,398 +272,300 @@ def _form_one(chart: Chart) -> OrdinaryForm:
     return OrdinaryForm.from_poly(chart, chart.const(1))
 
 
-def _require_mutation(mutation: Optional[str], allowed: tuple[str, ...]) -> None:
-    if mutation is not None and mutation not in allowed:
-        raise ValueError(f"unknown mutation {mutation!r}; expected one of {allowed}")
+def _check_leibniz(trial: _Trial, name: str, algebra: tuple, a, b, p: int) -> None:
+    """d(ab) == (da)b + (-1)^p a(db), with the algebra's product."""
+    times, one, to_doc = algebra
+    term = times(a, b.d())
+    rhs = times(a.d(), b) + (term if p % 2 == 0 else -term)
+    inputs = {"left": to_doc(a), "right": to_doc(b)}
+    trial.check_zero(name, times(a, b).d() - rhs, one, inputs)
+
+
+def _check_supercomm(trial: _Trial, name: str, algebra: tuple, a, b, pq: int) -> None:
+    """ab == (-1)^pq ba, with the algebra's product."""
+    times, one, to_doc = algebra
+    flipped = times(b, a)
+    delta = times(a, b) - (flipped if pq % 2 == 0 else -flipped)
+    trial.check_zero(name, delta, one, {"left": to_doc(a), "right": to_doc(b)})
+
+
+def _check_assoc(trial: _Trial, name: str, algebra: tuple, triple: list) -> None:
+    """(ab)c == a(bc), with the algebra's product."""
+    times, one, to_doc = algebra
+    a, b, c = triple
+    delta = times(times(a, b), c) - times(a, times(b, c))
+    trial.check_zero(name, delta, one, {"a": to_doc(a), "b": to_doc(b), "c": to_doc(c)})
 
 
 # -- suites --------------------------------------------------------------------
+#
+# Each suite is a per-trial check: it gets the trial that collects its
+# failures, the trial's case and the config.  An algebra is the triple
+# (product, unit, document) the identity checks above use.
 
 
-def _suite_d_squared(cfg: GenConfig, mutation: Optional[str]) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "d_squared", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        form = rand_form_mixed(rng, chart, cfg)
-        trial.check_zero(
-            "form_d_squared",
-            form.d().d(),
-            _form_one(chart),
-            {"form": form_to_doc(form)},
-        )
-        params = rand_koszul_params(rng, cfg)
-        element = rand_koszul_mixed(rng, params, cfg)
-        trial.check_zero(
-            "koszul_d_squared",
-            element.d().d(),
-            KoszulElement.scalar(params, 1),
-            {"koszul": koszul_to_doc(element)},
-        )
-        gen = rand_genform_mixed(rng, chart, params, cfg)
-        trial.check_zero(
-            "gen_d_squared",
-            gen.d().d(),
-            GeneralizedForm.one(chart, params),
-            {"generalized": gen_to_doc(gen)},
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+def _d_squared(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    form = rand_form_mixed(rng, chart, cfg)
+    trial.check_zero(
+        "form_d_squared",
+        form.d().d(),
+        _form_one(chart),
+        {"form": form_to_doc(form)},
+    )
+    params = rand_koszul_params(rng, cfg)
+    element = rand_koszul_mixed(rng, params, cfg)
+    trial.check_zero(
+        "koszul_d_squared",
+        element.d().d(),
+        KoszulElement.scalar(params, 1),
+        {"koszul": koszul_to_doc(element)},
+    )
+    gen = rand_genform_mixed(rng, chart, params, cfg)
+    trial.check_zero(
+        "gen_d_squared",
+        gen.d().d(),
+        GeneralizedForm.one(chart, params),
+        {"generalized": gen_to_doc(gen)},
+    )
 
 
-def _suite_leibniz(cfg: GenConfig, mutation: Optional[str]) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "leibniz", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
+def _leibniz(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
 
-        p = rng.randint(0, chart.dim)
-        q = rng.randint(0, chart.dim)
-        a = rand_form(rng, chart, cfg, degree=p)
-        b = rand_form(rng, chart, cfg, degree=q)
-        rhs = a.d().wedge(b)
-        term = a.wedge(b.d())
-        rhs = rhs + (term if p % 2 == 0 else -term)
-        trial.check_zero(
-            "form_leibniz",
-            a.wedge(b).d() - rhs,
-            _form_one(chart),
-            {"left": form_to_doc(a), "right": form_to_doc(b)},
-        )
+    p = rng.randint(0, chart.dim)
+    q = rng.randint(0, chart.dim)
+    a = rand_form(rng, chart, cfg, degree=p)
+    b = rand_form(rng, chart, cfg, degree=q)
+    forms = (OrdinaryForm.wedge, _form_one(chart), form_to_doc)
+    _check_leibniz(trial, "form_leibniz", forms, a, b, p)
 
-        params = rand_koszul_params(rng, cfg)
-        s = rng.randint(0, params.n)
-        r = rng.randint(0, params.n)
-        u = rand_koszul(rng, params, cfg, degree=-s)
-        v = rand_koszul(rng, params, cfg, degree=-r)
-        krhs = u.d().mul(v)
-        kterm = u.mul(v.d())
-        krhs = krhs + (kterm if s % 2 == 0 else -kterm)
-        trial.check_zero(
-            "koszul_leibniz",
-            u.mul(v).d() - krhs,
-            KoszulElement.scalar(params, 1),
-            {"left": koszul_to_doc(u), "right": koszul_to_doc(v)},
-        )
+    params = rand_koszul_params(rng, cfg)
+    s = rng.randint(0, params.n)
+    r = rng.randint(0, params.n)
+    u = rand_koszul(rng, params, cfg, degree=-s)
+    v = rand_koszul(rng, params, cfg, degree=-r)
+    koszul = (KoszulElement.mul, KoszulElement.scalar(params, 1), koszul_to_doc)
+    _check_leibniz(trial, "koszul_leibniz", koszul, u, v, s)
 
-        gp = rng.randint(-params.n, chart.dim)
-        gq = rng.randint(-params.n, chart.dim)
-        ga = rand_genform(rng, chart, params, cfg, degree=gp)
-        gb = rand_genform(rng, chart, params, cfg, degree=gq)
-        grhs = ga.d().wedge(gb)
-        gterm = ga.wedge(gb.d())
-        grhs = grhs + (gterm if gp % 2 == 0 else -gterm)
-        trial.check_zero(
-            "gen_leibniz",
-            ga.wedge(gb).d() - grhs,
-            GeneralizedForm.one(chart, params),
-            {"left": gen_to_doc(ga), "right": gen_to_doc(gb)},
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+    gp = rng.randint(-params.n, chart.dim)
+    gq = rng.randint(-params.n, chart.dim)
+    ga = rand_genform(rng, chart, params, cfg, degree=gp)
+    gb = rand_genform(rng, chart, params, cfg, degree=gq)
+    gen = (GeneralizedForm.wedge, GeneralizedForm.one(chart, params), gen_to_doc)
+    _check_leibniz(trial, "gen_leibniz", gen, ga, gb, gp)
 
 
-def _suite_supercomm(cfg: GenConfig, mutation: Optional[str]) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "supercomm", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        params = rand_koszul_params(rng, cfg)
+def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    params = rand_koszul_params(rng, cfg)
+    forms = (OrdinaryForm.wedge, _form_one(chart), form_to_doc)
+    koszul = (KoszulElement.mul, KoszulElement.scalar(params, 1), koszul_to_doc)
+    gen = (GeneralizedForm.wedge, GeneralizedForm.one(chart, params), gen_to_doc)
 
-        # supercommutativity in all three algebras
-        p = rng.randint(0, chart.dim)
-        q = rng.randint(0, chart.dim)
-        a = rand_form(rng, chart, cfg, degree=p)
-        b = rand_form(rng, chart, cfg, degree=q)
-        flipped = b.wedge(a)
-        trial.check_zero(
-            "form_supercomm",
-            a.wedge(b) - (flipped if (p * q) % 2 == 0 else -flipped),
-            _form_one(chart),
-            {"left": form_to_doc(a), "right": form_to_doc(b)},
-        )
-        s = rng.randint(0, params.n)
-        r = rng.randint(0, params.n)
-        u = rand_koszul(rng, params, cfg, degree=-s)
-        v = rand_koszul(rng, params, cfg, degree=-r)
-        kflip = v.mul(u)
-        trial.check_zero(
-            "koszul_supercomm",
-            u.mul(v) - (kflip if (s * r) % 2 == 0 else -kflip),
-            KoszulElement.scalar(params, 1),
-            {"left": koszul_to_doc(u), "right": koszul_to_doc(v)},
-        )
-        gp = rng.randint(-params.n, chart.dim)
-        gq = rng.randint(-params.n, chart.dim)
-        ga = rand_genform(rng, chart, params, cfg, degree=gp)
-        gb = rand_genform(rng, chart, params, cfg, degree=gq)
-        gflip = gb.wedge(ga)
-        trial.check_zero(
-            "gen_supercomm",
-            ga.wedge(gb) - (gflip if (gp * gq) % 2 == 0 else -gflip),
-            GeneralizedForm.one(chart, params),
-            {"left": gen_to_doc(ga), "right": gen_to_doc(gb)},
+    # supercommutativity in all three algebras
+    p = rng.randint(0, chart.dim)
+    q = rng.randint(0, chart.dim)
+    a = rand_form(rng, chart, cfg, degree=p)
+    b = rand_form(rng, chart, cfg, degree=q)
+    _check_supercomm(trial, "form_supercomm", forms, a, b, p * q)
+    s = rng.randint(0, params.n)
+    r = rng.randint(0, params.n)
+    u = rand_koszul(rng, params, cfg, degree=-s)
+    v = rand_koszul(rng, params, cfg, degree=-r)
+    _check_supercomm(trial, "koszul_supercomm", koszul, u, v, s * r)
+    gp = rng.randint(-params.n, chart.dim)
+    gq = rng.randint(-params.n, chart.dim)
+    ga = rand_genform(rng, chart, params, cfg, degree=gp)
+    gb = rand_genform(rng, chart, params, cfg, degree=gq)
+    _check_supercomm(trial, "gen_supercomm", gen, ga, gb, gp * gq)
+
+    # associativity (inhomogeneous triples)
+    triple = [rand_form_mixed(rng, chart, cfg) for _ in range(3)]
+    _check_assoc(trial, "form_assoc", forms, triple)
+    triple = [rand_koszul_mixed(rng, params, cfg) for _ in range(3)]
+    _check_assoc(trial, "koszul_assoc", koszul, triple)
+    triple = [rand_genform_mixed(rng, chart, params, cfg) for _ in range(3)]
+    _check_assoc(trial, "gen_assoc", gen, triple)
+
+    # tensor sign rule: (a x u)(b x v) = (-1)^{|u| deg b} (a ^ b) x (uv)
+    ts = rng.randint(0, params.n)
+    tu = rand_koszul(rng, params, cfg, degree=-ts)
+    tv = rand_koszul(rng, params, cfg, degree=-rng.randint(0, params.n))
+    ta = rand_form(rng, chart, cfg, degree=rng.randint(0, chart.dim))
+    tq = rng.randint(0, chart.dim)
+    tb = rand_form(rng, chart, cfg, degree=tq)
+
+    def tensor(form: OrdinaryForm, kz: KoszulElement) -> GeneralizedForm:
+        return GeneralizedForm.from_form(form, params).wedge(
+            GeneralizedForm.from_koszul(chart, kz)
         )
 
-        # associativity (inhomogeneous triples)
-        fa, fb, fc = (rand_form_mixed(rng, chart, cfg) for _ in range(3))
-        trial.check_zero(
-            "form_assoc",
-            fa.wedge(fb).wedge(fc) - fa.wedge(fb.wedge(fc)),
-            _form_one(chart),
-            {"a": form_to_doc(fa), "b": form_to_doc(fb), "c": form_to_doc(fc)},
-        )
-        ka, kb, kc = (rand_koszul_mixed(rng, params, cfg) for _ in range(3))
-        trial.check_zero(
-            "koszul_assoc",
-            ka.mul(kb).mul(kc) - ka.mul(kb.mul(kc)),
-            KoszulElement.scalar(params, 1),
-            {"a": koszul_to_doc(ka), "b": koszul_to_doc(kb), "c": koszul_to_doc(kc)},
-        )
-        za, zb, zc = (rand_genform_mixed(rng, chart, params, cfg) for _ in range(3))
-        trial.check_zero(
-            "gen_assoc",
-            za.wedge(zb).wedge(zc) - za.wedge(zb.wedge(zc)),
-            GeneralizedForm.one(chart, params),
-            {"a": gen_to_doc(za), "b": gen_to_doc(zb), "c": gen_to_doc(zc)},
-        )
-
-        # tensor sign rule: (a x u)(b x v) = (-1)^{|u| deg b} (a ^ b) x (uv)
-        ts = rng.randint(0, params.n)
-        tu = rand_koszul(rng, params, cfg, degree=-ts)
-        tv = rand_koszul(rng, params, cfg, degree=-rng.randint(0, params.n))
-        ta = rand_form(rng, chart, cfg, degree=rng.randint(0, chart.dim))
-        tq = rng.randint(0, chart.dim)
-        tb = rand_form(rng, chart, cfg, degree=tq)
-
-        def tensor(form: OrdinaryForm, kz: KoszulElement) -> GeneralizedForm:
-            return GeneralizedForm.from_form(form, params).wedge(
-                GeneralizedForm.from_koszul(chart, kz)
-            )
-
-        expected = tensor(ta.wedge(tb), tu.mul(tv))
-        if (ts * tq) % 2:
-            expected = -expected
-        trial.check_zero(
-            "tensor_sign_rule",
-            tensor(ta, tu).wedge(tensor(tb, tv)) - expected,
-            GeneralizedForm.one(chart, params),
-            {
-                "a": form_to_doc(ta),
-                "u": koszul_to_doc(tu),
-                "b": form_to_doc(tb),
-                "v": koszul_to_doc(tv),
-            },
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+    expected = tensor(ta.wedge(tb), tu.mul(tv))
+    if (ts * tq) % 2:
+        expected = -expected
+    trial.check_zero(
+        "tensor_sign_rule",
+        tensor(ta, tu).wedge(tensor(tb, tv)) - expected,
+        GeneralizedForm.one(chart, params),
+        {
+            "a": form_to_doc(ta),
+            "u": koszul_to_doc(tu),
+            "b": form_to_doc(tb),
+            "v": koszul_to_doc(tv),
+        },
+    )
 
 
-def _suite_pair_equivalence(
-    cfg: GenConfig, mutation: Optional[str]
-) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb", "wedge_sign", "drop_k"))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "pair_equivalence", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        k = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
-        params = KoszulParams((k,))
-        one = GeneralizedForm.one(chart, params)
+def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    k = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
+    params = KoszulParams((k,))
+    one = GeneralizedForm.one(chart, params)
 
-        p = rng.randint(-1, chart.dim)
-        q = rng.randint(-1, chart.dim)
-        a_p = rand_form(rng, chart, cfg, degree=p)
-        a_next = rand_form(rng, chart, cfg, degree=p + 1)
-        b_q = rand_form(rng, chart, cfg, degree=q)
-        b_next = rand_form(rng, chart, cfg, degree=q + 1)
-        enc_a = pair_encode(a_p, a_next, k)
-        enc_b = pair_encode(b_q, b_next, k)
-        inputs = {"left": gen_to_doc(enc_a), "right": gen_to_doc(enc_b)}
+    p = rng.randint(-1, chart.dim)
+    q = rng.randint(-1, chart.dim)
+    a_p = rand_form(rng, chart, cfg, degree=p)
+    a_next = rand_form(rng, chart, cfg, degree=p + 1)
+    b_q = rand_form(rng, chart, cfg, degree=q)
+    b_next = rand_form(rng, chart, cfg, degree=q + 1)
+    enc_a = pair_encode(a_p, a_next, k)
+    enc_b = pair_encode(b_q, b_next, k)
+    inputs = {"left": gen_to_doc(enc_a), "right": gen_to_doc(enc_b)}
 
-        # product: (a_p b_q, a_p b_{q+1} + (-1)^q a_{p+1} b_q)
-        sign_q = 1 if q % 2 == 0 else -1
-        if mutation == "wedge_sign":
-            sign_q = -sign_q
-        cross = a_next.wedge(b_q)
-        second = a_p.wedge(b_next) + (cross if sign_q > 0 else -cross)
-        formula = pair_encode(a_p.wedge(b_q), second, k)
-        trial.check_zero("pair_wedge", enc_a.wedge(enc_b) - formula, one, inputs)
+    # product: (a_p b_q, a_p b_{q+1} + (-1)^q a_{p+1} b_q)
+    sign_q = 1 if q % 2 == 0 else -1
+    if trial.mutation == "wedge_sign":
+        sign_q = -sign_q
+    cross = a_next.wedge(b_q)
+    second = a_p.wedge(b_next) + (cross if sign_q > 0 else -cross)
+    formula = pair_encode(a_p.wedge(b_q), second, k)
+    trial.check_zero("pair_wedge", enc_a.wedge(enc_b) - formula, one, inputs)
 
-        # differential: (d a_p + (-1)^{p+1} k a_{p+1}, d a_next)
-        sign_p = 1 if (p + 1) % 2 == 0 else -1
-        kterm = a_next.scale(sign_p * k)
-        if mutation == "drop_k":
-            kterm = OrdinaryForm.zero(chart)
-        dformula = pair_encode(a_p.d() + kterm, a_next.d(), k)
-        trial.check_zero(
-            "pair_d", enc_a.d() - dformula, one, {"left": gen_to_doc(enc_a)}
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+    # differential: (d a_p + (-1)^{p+1} k a_{p+1}, d a_next)
+    sign_p = 1 if (p + 1) % 2 == 0 else -1
+    kterm = a_next.scale(sign_p * k)
+    if trial.mutation == "drop_k":
+        kterm = OrdinaryForm.zero(chart)
+    dformula = pair_encode(a_p.d() + kterm, a_next.d(), k)
+    trial.check_zero(
+        "pair_d", enc_a.d() - dformula, one, {"left": gen_to_doc(enc_a)}
+    )
 
 
-def _suite_chain_homotopy(
-    cfg: GenConfig, mutation: Optional[str]
-) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "chain_homotopy", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        form = rand_form(rng, chart, cfg)
-        plot = rand_plot(rng, chart, cfg)
-        lhs = chen_integral(form.d(), plot) + chen_integral(form, plot).d()
-        rhs = ev_pullback(1, form, plot) - ev_pullback(0, form, plot)
-        trial.check_zero(
-            "chain_homotopy",
-            lhs - rhs,
-            _form_one(plot.domain),
-            {"form": form_to_doc(form), "plot": plot_to_doc(plot)},
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+def _chain_homotopy(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    form = rand_form(rng, chart, cfg)
+    plot = rand_plot(rng, chart, cfg)
+    lhs = chen_integral(form.d(), plot) + chen_integral(form, plot).d()
+    rhs = ev_pullback(1, form, plot) - ev_pullback(0, form, plot)
+    trial.check_zero(
+        "chain_homotopy",
+        lhs - rhs,
+        _form_one(plot.domain),
+        {"form": form_to_doc(form), "plot": plot_to_doc(plot)},
+    )
 
 
-def _suite_dI_commute(
-    cfg: GenConfig, mutation: Optional[str]
-) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "dI_commute", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
-        alpha = rand_genform_mixed(rng, chart, params, cfg)
-        plot = rand_plot(rng, chart, cfg)
-        lhs = eval_pathform(map_I(alpha.d()), plot)
-        rhs = eval_pathform(map_I(alpha), plot).d()
-        trial.check_zero(
-            "dI_commute",
-            lhs - rhs,
-            _form_one(plot.domain),
-            {"generalized": gen_to_doc(alpha), "plot": plot_to_doc(plot)},
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+def _dI_commute(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
+    alpha = rand_genform_mixed(rng, chart, params, cfg)
+    plot = rand_plot(rng, chart, cfg)
+    lhs = eval_pathform(map_I(alpha.d()), plot)
+    rhs = eval_pathform(map_I(alpha), plot).d()
+    trial.check_zero(
+        "dI_commute",
+        lhs - rhs,
+        _form_one(plot.domain),
+        {"generalized": gen_to_doc(alpha), "plot": plot_to_doc(plot)},
+    )
 
 
-def _suite_kernel(cfg: GenConfig, mutation: Optional[str]) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb", "perturb_element"))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "kernel", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        k = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
-        f = OrdinaryForm.from_poly(
-            chart, rand_poly(rng, chart.coordinates, cfg.poly_deg, cfg.coeff_bound)
-        )
-        g = OrdinaryForm.from_poly(
-            chart, rand_poly(rng, chart.coordinates, cfg.poly_deg, cfg.coeff_bound)
-        )
-        zero = OrdinaryForm.zero(chart)
-        element = pair_encode(zero, g, k) + pair_encode(zero, f, k).d()
-        if mutation == "perturb_element":
-            element = pair_encode(f, f.d().scale(2 / k), k)
-        plot = rand_plot(rng, chart, cfg)
-        trial.check_zero(
-            "kernel",
-            eval_pathform(map_I(element), plot),
-            _form_one(plot.domain),
-            {"element": gen_to_doc(element), "plot": plot_to_doc(plot)},
-        )
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+def _kernel(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    k = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
+    f = OrdinaryForm.from_poly(
+        chart, rand_poly(rng, chart.coordinates, cfg.poly_deg, cfg.coeff_bound)
+    )
+    g = OrdinaryForm.from_poly(
+        chart, rand_poly(rng, chart.coordinates, cfg.poly_deg, cfg.coeff_bound)
+    )
+    zero = OrdinaryForm.zero(chart)
+    element = pair_encode(zero, g, k) + pair_encode(zero, f, k).d()
+    if trial.mutation == "perturb_element":
+        element = pair_encode(f, f.d().scale(2 / k), k)
+    plot = rand_plot(rng, chart, cfg)
+    trial.check_zero(
+        "kernel",
+        eval_pathform(map_I(element), plot),
+        _form_one(plot.domain),
+        {"element": gen_to_doc(element), "plot": plot_to_doc(plot)},
+    )
 
 
-def _suite_wedge_prime(
-    cfg: GenConfig, mutation: Optional[str]
-) -> tuple[int, list[dict]]:
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    for i in range(cfg.trials):
-        rng = _rng(cfg, "wedge_prime", i)
-        trial = _Trial(i, mutation)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
-        params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
-        p = rng.randint(1, chart.dim)
-        q = rng.randint(1, chart.dim)
-        a = rand_genform(rng, chart, params, cfg, degree=p)
-        b = rand_genform(rng, chart, params, cfg, degree=q)
-        plot = rand_plot(rng, chart, cfg)
-        one = _form_one(plot.domain)
-        inputs = {
-            "left": gen_to_doc(a),
-            "right": gen_to_doc(b),
-            "plot": plot_to_doc(plot),
-        }
+def _wedge_prime(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    chart = _chart(rng.randint(1, cfg.chart_dim))
+    params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
+    p = rng.randint(1, chart.dim)
+    q = rng.randint(1, chart.dim)
+    a = rand_genform(rng, chart, params, cfg, degree=p)
+    b = rand_genform(rng, chart, params, cfg, degree=q)
+    plot = rand_plot(rng, chart, cfg)
+    one = _form_one(plot.domain)
+    inputs = {
+        "left": gen_to_doc(a),
+        "right": gen_to_doc(b),
+        "plot": plot_to_doc(plot),
+    }
 
-        product = eval_pathform(wedge_prime(a, b), plot)
-        explicit = eval_pathform(wedge_prime_explicit(a, b), plot)
-        trial.check_zero("wedge_prime_explicit", product - explicit, one, inputs)
+    product = eval_pathform(wedge_prime(a, b), plot)
+    explicit = eval_pathform(wedge_prime_explicit(a, b), plot)
+    trial.check_zero("wedge_prime_explicit", product - explicit, one, inputs)
 
-        flipped = eval_pathform(wedge_prime(b, a), plot)
-        trial.check_zero(
-            "wedge_prime_supercomm",
-            product - (flipped if (p * q) % 2 == 0 else -flipped),
-            one,
-            inputs,
-        )
+    flipped = eval_pathform(wedge_prime(b, a), plot)
+    trial.check_zero(
+        "wedge_prime_supercomm",
+        product - (flipped if (p * q) % 2 == 0 else -flipped),
+        one,
+        inputs,
+    )
 
-        left = eval_pathform(wedge_prime(a.d(), b), plot)
-        right = eval_pathform(wedge_prime(a, b.d()), plot)
-        rhs = left + (right if p % 2 == 0 else -right)
-        trial.check_zero("wedge_prime_leibniz", product.d() - rhs, one, inputs)
-        failures.extend(trial.failures)
-    return cfg.trials, failures
+    left = eval_pathform(wedge_prime(a.d(), b), plot)
+    right = eval_pathform(wedge_prime(a, b.d()), plot)
+    rhs = left + (right if p % 2 == 0 else -right)
+    trial.check_zero("wedge_prime_leibniz", product.d() - rhs, one, inputs)
 
 
-def _suite_injectivity_witness(
-    cfg: GenConfig, mutation: Optional[str]
-) -> tuple[int, list[dict]]:
-    # fixed witnesses: the trial count is the witness count, not cfg.trials
-    _require_mutation(mutation, ("perturb",))
-    failures: list[dict] = []
-    witnesses = injectivity_witnesses()
-    for i, witness in enumerate(witnesses):
-        trial = _Trial(i, mutation)
-        value = eval_pathform(map_I(witness.alpha), witness.plot)
-        trial.check_equal_nonzero(
-            "injectivity_witness",
-            value,
-            witness.expected,
-            _form_one(witness.plot.domain),
-            {
-                "witness": witness.label,
-                "alpha": gen_to_doc(witness.alpha),
-                "plot": plot_to_doc(witness.plot),
-                "expected": form_to_doc(witness.expected),
-            },
-        )
-        failures.extend(trial.failures)
-    return len(witnesses), failures
+def _injectivity_witness(trial: _Trial, witness: Witness, cfg: GenConfig) -> None:
+    value = eval_pathform(map_I(witness.alpha), witness.plot)
+    trial.check_equal_nonzero(
+        "injectivity_witness",
+        value,
+        witness.expected,
+        _form_one(witness.plot.domain),
+        {
+            "witness": witness.label,
+            "alpha": gen_to_doc(witness.alpha),
+            "plot": plot_to_doc(witness.plot),
+            "expected": form_to_doc(witness.expected),
+        },
+    )
 
 
-_SUITES: dict[str, Callable[[GenConfig, Optional[str]], tuple[int, list[dict]]]] = {
-    "d_squared": _suite_d_squared,
-    "leibniz": _suite_leibniz,
-    "supercomm": _suite_supercomm,
-    "pair_equivalence": _suite_pair_equivalence,
-    "chain_homotopy": _suite_chain_homotopy,
-    "dI_commute": _suite_dI_commute,
-    "kernel": _suite_kernel,
-    "wedge_prime": _suite_wedge_prime,
-    "injectivity_witness": _suite_injectivity_witness,
+# name -> (allowed mutations, per-trial check, fixed cases).  A suite with
+# fixed cases runs one trial per case; any other runs cfg.trials trials,
+# whose cases are random sources labelled by the suite name and trial index.
+_SUITES: dict[str, tuple[tuple[str, ...], Callable, Optional[Callable]]] = {
+    "d_squared": (("perturb",), _d_squared, None),
+    "leibniz": (("perturb",), _leibniz, None),
+    "supercomm": (("perturb",), _supercomm, None),
+    "pair_equivalence": (("perturb", "wedge_sign", "drop_k"), _pair_equivalence, None),
+    "chain_homotopy": (("perturb",), _chain_homotopy, None),
+    "dI_commute": (("perturb",), _dI_commute, None),
+    "kernel": (("perturb", "perturb_element"), _kernel, None),
+    "wedge_prime": (("perturb",), _wedge_prime, None),
+    "injectivity_witness": (("perturb",), _injectivity_witness, injectivity_witnesses),
 }
 
 ALL_SUITES = tuple(_SUITES)
@@ -672,8 +574,21 @@ ALL_SUITES = tuple(_SUITES)
 def run_suite(name: str, cfg: GenConfig, mutation: Optional[str] = None) -> SuiteReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {ALL_SUITES}")
+    allowed, check, fixed = _SUITES[name]
+    if mutation is not None and mutation not in allowed:
+        raise ValueError(f"unknown mutation {mutation!r}; expected one of {allowed}")
     start = time.perf_counter()
-    trials, failures = _SUITES[name](cfg, mutation)
+    if fixed is None:
+        trials = cfg.trials
+        cases = (_rng(cfg, name, i) for i in range(trials))
+    else:
+        cases = fixed()
+        trials = len(cases)
+    failures: list[dict] = []
+    for i, case in enumerate(cases):
+        trial = _Trial(i, mutation)
+        check(trial, case, cfg)
+        failures.extend(trial.failures)
     elapsed = round(time.perf_counter() - start, 6)
     return SuiteReport(name, trials, failures, elapsed)
 

@@ -1,10 +1,15 @@
 """The CLI: every verb against the library it fronts, plus exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pathforms
 from pathforms.cli import main
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import pair_encode
@@ -316,6 +321,27 @@ def test_wedge_prime_domain_violations_exit_3(tmp_path, capsys):
     assert status == 3
     status, _, err = run(capsys, "wedge-prime", k0s, k0s)
     assert status == 3
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    expr = '{"node": "Sum", "children": []}'
+    for _ in range(5000):
+        expr = '{"node": "Diff", "child": ' + expr + "}"
+    epath = tmp_path / "deep.json"
+    epath.write_text(expr)
+    ppath = write_doc(tmp_path, "plot.json", plot_to_doc(square_plot()))
+    src = Path(pathforms.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathforms.cli", "eval", str(epath), ppath],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_argparse_rejects_unknown_verbs_and_flags(tmp_path):

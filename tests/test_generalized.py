@@ -137,3 +137,26 @@ def test_from_koszul_embedding_respects_d():
     element = KoszulElement(params, {(0, 1): Fraction(1)})
     embedded = GeneralizedForm.from_koszul(R1, element)
     assert embedded.d() == GeneralizedForm.from_koszul(R1, element.d())
+
+
+def test_non_integer_indices_rejected():
+    params = KoszulParams((Fraction(1),))
+    with pytest.raises(TypeError):
+        GeneralizedForm(R1, params, {(0.5,): dx(R1, 0)})
+
+
+def test_components_are_read_only():
+    params = KoszulParams((Fraction(1),))
+    zeta = GeneralizedForm.zeta(R1, params, 0)
+    with pytest.raises(TypeError):
+        zeta.components[()] = dx(R1, 0)
+    assert zeta == GeneralizedForm.zeta(R1, params, 0)
+
+
+def test_hash_agrees_with_equality():
+    params = KoszulParams((Fraction(1),))
+    a = pair_encode(dx(R1, 0), OrdinaryForm.zero(R1), 1)
+    b = GeneralizedForm.from_form(dx(R1, 0), params)
+    zeta = GeneralizedForm.zeta(R1, params, 0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, zeta, -zeta, GeneralizedForm.zeta(R2, params, 0)}) == 4

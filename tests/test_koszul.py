@@ -76,6 +76,27 @@ def test_degree_bookkeeping():
     assert KoszulElement.zero(K2).is_homogeneous(-2)
 
 
+@pytest.mark.parametrize("indices", [(0.9,), (True,)])
+def test_non_integer_indices_rejected(indices):
+    # 0.9 used to become z_0 and True z_1
+    with pytest.raises(TypeError):
+        KoszulElement(K2, {indices: 1})
+
+
+def test_terms_are_read_only():
+    e = z(K2, 1)
+    with pytest.raises(TypeError):
+        e.terms[(1,)] = Fraction(0)
+    assert e == z(K2, 1)
+
+
+def test_hash_agrees_with_equality():
+    a = z(K2, 0, 1).scale(2)
+    b = z(K2, 0).mul(z(K2, 1)) + z(K2, 0, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, z(K2, 0), -z(K2, 0), z(K1, 0)}) == 4
+
+
 CFG = GenConfig(seed=5, trials=60)
 
 

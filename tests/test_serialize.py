@@ -267,6 +267,16 @@ def test_expression_doc_rejections():
         expr_from_doc({"node": "Scale", "coeff": 2, "child": {"node": "Sum", "children": []}})
     with pytest.raises(ParseError):
         expr_from_doc([])
+    with pytest.raises(ParseError):
+        expr_from_doc({"node": ["Sum"], "children": []})
+
+
+def test_too_deep_expression_is_a_parse_error():
+    doc = {"node": "Sum", "children": []}
+    for _ in range(5000):
+        doc = {"node": "Diff", "child": doc}
+    with pytest.raises(ParseError):
+        expr_from_doc(doc)
 
 
 def test_random_values_round_trip():
