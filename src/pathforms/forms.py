@@ -68,6 +68,8 @@ class OrdinaryForm(SignedMonomials):
         return self._context
 
     def _checked(self, poly: Poly) -> Poly:
+        if not isinstance(poly, Poly):
+            raise TypeError(f"form coefficients must be Polys, got {poly!r}")
         if poly.variables != self._context.coordinates:
             raise MismatchError(
                 f"coefficient over {poly.variables!r} does not live on {self.chart!r}"
@@ -91,6 +93,10 @@ class OrdinaryForm(SignedMonomials):
         """coeff * dx_I for a strictly increasing index tuple I."""
         poly = coeff if isinstance(coeff, Poly) else chart.const(coeff)
         return cls(chart, {tuple(indices): poly})
+
+    def unit(self) -> OrdinaryForm:
+        """The constant 0-form 1 on this form's chart."""
+        return self.from_poly(self.chart, self.chart.const(1))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -160,15 +166,6 @@ class PolyMap:
     @classmethod
     def identity(cls, chart: Chart) -> PolyMap:
         return cls(chart, chart, tuple(chart.var(i) for i in range(chart.dim)))
-
-    def compose_poly(self, poly: Poly) -> Poly:
-        """Pull a target-chart function back along the map (composition)."""
-        if poly.variables != self.target.coordinates:
-            raise MismatchError(
-                f"polynomial over {poly.variables!r} does not live on {self.target!r}"
-            )
-        subst = dict(zip(self.target.coordinates, self.components))
-        return poly.compose(subst, variables=self.source.coordinates)
 
     def differentials(self) -> tuple[OrdinaryForm, ...]:
         """The 1-forms d(m_i) on the source chart, one per target coordinate."""

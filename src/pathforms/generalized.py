@@ -56,6 +56,8 @@ class GeneralizedForm(SignedMonomials):
         return self._context[1]
 
     def _checked(self, form: OrdinaryForm) -> OrdinaryForm:
+        if not isinstance(form, OrdinaryForm):
+            raise TypeError(f"components must be OrdinaryForms, got {form!r}")
         if form._context != self._context[0]:
             raise MismatchError(
                 f"component on {form.chart!r} does not live on {self.chart!r}"
@@ -67,6 +69,10 @@ class GeneralizedForm(SignedMonomials):
     @classmethod
     def one(cls, chart: Chart, params: KoszulParams) -> GeneralizedForm:
         return cls.from_form(OrdinaryForm.from_poly(chart, chart.const(1)), params)
+
+    def unit(self) -> GeneralizedForm:
+        """The unit `one` of this element's algebra (same chart and parameters)."""
+        return self.one(self.chart, self.params)
 
     @classmethod
     def from_form(cls, form: OrdinaryForm, params: KoszulParams) -> GeneralizedForm:

@@ -83,6 +83,10 @@ class KoszulElement(SignedMonomials):
     def generator(cls, params: KoszulParams, index: int) -> KoszulElement:
         return cls(params, {(index,): 1})
 
+    def unit(self) -> KoszulElement:
+        """The scalar 1 with this element's parameters."""
+        return self.scalar(self.params, 1)
+
     # -- algebra -------------------------------------------------------------
 
     def scale(self, value: RationalLike) -> KoszulElement:

@@ -67,6 +67,8 @@ class Plot:
 
     def endpoint_map(self, endpoint: int) -> PolyMap:
         """The map U -> target obtained by freezing time at 0 or 1."""
+        if isinstance(endpoint, bool) or not isinstance(endpoint, int):
+            raise TypeError(f"endpoint must be an integer, got {endpoint!r}")
         if endpoint not in (0, 1):
             raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
         comps = tuple(
@@ -115,12 +117,11 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     the plot's target is refused by the pullback.
     """
     pulled = _DtPart(plot.cylinder, plot.target, plot.components).pullback(form)
-    wdot, _ = decompose(pulled, plot.time)
-    tindex = plot.cylinder.coordinates.index(plot.time)
+    # each kept component is dt ^ du_J (time is cylinder coordinate 0): no sign
     out: dict[tuple[int, ...], Poly] = {}
-    for indices, poly in wdot.components.items():
-        shifted = tuple(i - 1 if i > tindex else i for i in indices)
-        out[shifted] = poly.defint01(plot.time).drop_var(plot.time)
+    for indices, poly in pulled.components.items():
+        rest = tuple(i - 1 for i in indices[1:])
+        out[rest] = poly.defint01(plot.time).drop_var(plot.time)
     return OrdinaryForm(plot.domain, out)
 
 
@@ -157,6 +158,8 @@ class EvPull(PathFormExpr):
     form: OrdinaryForm
 
     def __post_init__(self):
+        if isinstance(self.endpoint, bool) or not isinstance(self.endpoint, int):
+            raise TypeError(f"endpoint must be an integer, got {self.endpoint!r}")
         if self.endpoint not in (0, 1):
             raise ValueError(f"endpoint must be 0 or 1, got {self.endpoint!r}")
 

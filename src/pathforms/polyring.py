@@ -45,9 +45,13 @@ class MismatchError(ValueError):
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int or Fraction to Fraction; floats are rejected."""
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed in exact arithmetic; use Fraction")
+    """An int or Fraction as a Fraction; bools, floats, strings and every
+    other type are rejected."""
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is bool or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {value!r}")
     return Fraction(value)
 
 

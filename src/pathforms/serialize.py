@@ -267,6 +267,31 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
     return _construct(Plot, target, domain, components)
 
 
+# -- any value ------------------------------------------------------------------
+
+
+def to_doc(value: Any) -> Any:
+    """The document of a value, by its type's encoder (a module global,
+    looked up per call); a tuple is a list, an int or a str is itself."""
+    if isinstance(value, OrdinaryForm):
+        return form_to_doc(value)
+    if isinstance(value, KoszulElement):
+        return koszul_to_doc(value)
+    if isinstance(value, GeneralizedForm):
+        return gen_to_doc(value)
+    if isinstance(value, Plot):
+        return plot_to_doc(value)
+    if isinstance(value, PathFormExpr):
+        return expr_to_doc(value)
+    if isinstance(value, Fraction):
+        return frac_to_str(value)
+    if isinstance(value, tuple):
+        return [to_doc(item) for item in value]
+    if type(value) in (int, str):
+        return value
+    raise TypeError(f"no document for {type(value).__name__} value {value!r}")
+
+
 # -- path-form expressions ------------------------------------------------------
 
 
@@ -281,16 +306,7 @@ def expr_to_doc(expr: PathFormExpr) -> dict:
         raise TypeError(f"not a path-form expression: {expr!r}")
     doc: dict[str, Any] = {"node": name}
     for field in fields(expr):
-        value = getattr(expr, field.name)
-        if field.type == "OrdinaryForm":
-            value = form_to_doc(value)
-        elif field.type == "Fraction":
-            value = frac_to_str(value)
-        elif field.type == "PathFormExpr":
-            value = expr_to_doc(value)
-        elif field.type == "tuple[PathFormExpr, ...]":
-            value = [expr_to_doc(child) for child in value]
-        doc[field.name] = value
+        doc[field.name] = to_doc(getattr(expr, field.name))
     return doc
 
 

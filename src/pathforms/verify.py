@@ -4,8 +4,8 @@ Every identity the package is built on is checked here on random
 instances with exact equality; there are no tolerances.  Instances are
 generated per (seed, suite, trial index), so a report is reproducible
 bit-for-bit from its config (elapsed time aside) regardless of
-execution order, and every failure carries its inputs serialized in the
-JSON interchange format for replay.
+execution order, and every failure carries its inputs for replay,
+serialized in the JSON interchange format only when its check fails.
 
 Suites accept an optional `mutation` that deliberately breaks the
 checked identity in a known way.  Mutations exist so the failure
@@ -35,7 +35,7 @@ from .pathspace import (
     wedge_prime_explicit,
 )
 from .polyring import Poly
-from .serialize import form_to_doc, gen_to_doc, koszul_to_doc, plot_to_doc
+from .serialize import default_domain_chart, default_target_chart, to_doc
 from .witnesses import Witness, injectivity_witnesses
 
 
@@ -116,10 +116,6 @@ def rand_poly(
     for _ in range(rng.randint(0, max_terms)):
         terms[_rand_exponents(rng, len(variables), max_deg)] = rand_fraction(rng, bound)
     return Poly(variables, terms)
-
-
-def _chart(dim: int) -> Chart:
-    return Chart(tuple(f"x{i + 1}" for i in range(dim)))
 
 
 def rand_form(
@@ -218,7 +214,7 @@ def rand_genform_mixed(
 
 def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:
     m = rng.randint(1, cfg.plot_dim)
-    domain = Chart(tuple(f"u{i + 1}" for i in range(m)))
+    domain = default_domain_chart(m)
     cylinder = ("t",) + domain.coordinates
     components = tuple(
         rand_poly(rng, cylinder, cfg.poly_deg, cfg.coeff_bound)
@@ -230,7 +226,7 @@ def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:
 def gen_random(kind: str, cfg: GenConfig, index: int = 0, degree: Optional[int] = None):
     """One random value of the named kind, deterministic in (seed, index)."""
     rng = _rng(cfg, f"gen:{kind}", index)
-    chart = _chart(cfg.chart_dim)
+    chart = default_target_chart(cfg.chart_dim)
     if kind == "poly":
         return rand_poly(rng, chart.coordinates, cfg.poly_deg, cfg.coeff_bound)
     if kind == "form":
@@ -247,121 +243,95 @@ def gen_random(kind: str, cfg: GenConfig, index: int = 0, degree: Optional[int] 
 
 
 class _Trial:
-    """Collects failed checks of one trial with their serialized inputs."""
+    """Collects failed checks of one trial, serializing inputs only on failure."""
 
     def __init__(self, index: int, mutation: Optional[str]):
         self.index = index
         self.mutation = mutation
         self.failures: list[dict] = []
 
-    def check_zero(self, name: str, delta, one, inputs: dict) -> None:
-        """Assert delta == 0; `one` is the unit used by the perturb mutation."""
+    def check_zero(self, name: str, delta, /, **inputs) -> None:
+        """Assert delta == 0; the perturb mutation adds delta's unit."""
         if self.mutation == "perturb":
-            delta = delta + one
+            delta = delta + delta.unit()
         if not delta.is_zero:
+            inputs = {key: to_doc(value) for key, value in inputs.items()}
             self.failures.append({"trial": self.index, "check": name, "inputs": inputs})
 
-    def check_equal_nonzero(self, name: str, got, expected, one, inputs: dict) -> None:
+    def check_equal_nonzero(self, name: str, got, expected, /, **inputs) -> None:
         if self.mutation == "perturb":
-            got = got + one
+            got = got + got.unit()
         if got != expected or got.is_zero:
+            inputs = {key: to_doc(value) for key, value in inputs.items()}
             self.failures.append({"trial": self.index, "check": name, "inputs": inputs})
 
 
-def _form_one(chart: Chart) -> OrdinaryForm:
-    return OrdinaryForm.from_poly(chart, chart.const(1))
-
-
-def _check_leibniz(trial: _Trial, name: str, algebra: tuple, a, b, p: int) -> None:
+def _check_leibniz(trial: _Trial, name: str, times: Callable, a, b, p: int) -> None:
     """d(ab) == (da)b + (-1)^p a(db), with the algebra's product."""
-    times, one, to_doc = algebra
     term = times(a, b.d())
     rhs = times(a.d(), b) + (term if p % 2 == 0 else -term)
-    inputs = {"left": to_doc(a), "right": to_doc(b)}
-    trial.check_zero(name, times(a, b).d() - rhs, one, inputs)
+    trial.check_zero(name, times(a, b).d() - rhs, left=a, right=b)
 
 
-def _check_supercomm(trial: _Trial, name: str, algebra: tuple, a, b, pq: int) -> None:
+def _check_supercomm(trial: _Trial, name: str, times: Callable, a, b, pq: int) -> None:
     """ab == (-1)^pq ba, with the algebra's product."""
-    times, one, to_doc = algebra
     flipped = times(b, a)
     delta = times(a, b) - (flipped if pq % 2 == 0 else -flipped)
-    trial.check_zero(name, delta, one, {"left": to_doc(a), "right": to_doc(b)})
+    trial.check_zero(name, delta, left=a, right=b)
 
 
-def _check_assoc(trial: _Trial, name: str, algebra: tuple, triple: list) -> None:
+def _check_assoc(trial: _Trial, name: str, times: Callable, triple: list) -> None:
     """(ab)c == a(bc), with the algebra's product."""
-    times, one, to_doc = algebra
     a, b, c = triple
     delta = times(times(a, b), c) - times(a, times(b, c))
-    trial.check_zero(name, delta, one, {"a": to_doc(a), "b": to_doc(b), "c": to_doc(c)})
+    trial.check_zero(name, delta, a=a, b=b, c=c)
 
 
 # -- suites --------------------------------------------------------------------
 #
 # Each suite is a per-trial check: it gets the trial that collects its
-# failures, the trial's case and the config.  An algebra is the triple
-# (product, unit, document) the identity checks above use.
+# failures, the trial's case and the config.  The identity checks above
+# take an algebra's product function.
 
 
 def _d_squared(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     form = rand_form_mixed(rng, chart, cfg)
-    trial.check_zero(
-        "form_d_squared",
-        form.d().d(),
-        _form_one(chart),
-        {"form": form_to_doc(form)},
-    )
+    trial.check_zero("form_d_squared", form.d().d(), form=form)
     params = rand_koszul_params(rng, cfg)
     element = rand_koszul_mixed(rng, params, cfg)
-    trial.check_zero(
-        "koszul_d_squared",
-        element.d().d(),
-        KoszulElement.scalar(params, 1),
-        {"koszul": koszul_to_doc(element)},
-    )
+    trial.check_zero("koszul_d_squared", element.d().d(), koszul=element)
     gen = rand_genform_mixed(rng, chart, params, cfg)
-    trial.check_zero(
-        "gen_d_squared",
-        gen.d().d(),
-        GeneralizedForm.one(chart, params),
-        {"generalized": gen_to_doc(gen)},
-    )
+    trial.check_zero("gen_d_squared", gen.d().d(), generalized=gen)
 
 
 def _leibniz(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
 
     p = rng.randint(0, chart.dim)
     q = rng.randint(0, chart.dim)
     a = rand_form(rng, chart, cfg, degree=p)
     b = rand_form(rng, chart, cfg, degree=q)
-    forms = (OrdinaryForm.wedge, _form_one(chart), form_to_doc)
-    _check_leibniz(trial, "form_leibniz", forms, a, b, p)
+    _check_leibniz(trial, "form_leibniz", OrdinaryForm.wedge, a, b, p)
 
     params = rand_koszul_params(rng, cfg)
     s = rng.randint(0, params.n)
     r = rng.randint(0, params.n)
     u = rand_koszul(rng, params, cfg, degree=-s)
     v = rand_koszul(rng, params, cfg, degree=-r)
-    koszul = (KoszulElement.mul, KoszulElement.scalar(params, 1), koszul_to_doc)
-    _check_leibniz(trial, "koszul_leibniz", koszul, u, v, s)
+    _check_leibniz(trial, "koszul_leibniz", KoszulElement.mul, u, v, s)
 
     gp = rng.randint(-params.n, chart.dim)
     gq = rng.randint(-params.n, chart.dim)
     ga = rand_genform(rng, chart, params, cfg, degree=gp)
     gb = rand_genform(rng, chart, params, cfg, degree=gq)
-    gen = (GeneralizedForm.wedge, GeneralizedForm.one(chart, params), gen_to_doc)
-    _check_leibniz(trial, "gen_leibniz", gen, ga, gb, gp)
+    _check_leibniz(trial, "gen_leibniz", GeneralizedForm.wedge, ga, gb, gp)
 
 
 def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     params = rand_koszul_params(rng, cfg)
-    forms = (OrdinaryForm.wedge, _form_one(chart), form_to_doc)
-    koszul = (KoszulElement.mul, KoszulElement.scalar(params, 1), koszul_to_doc)
-    gen = (GeneralizedForm.wedge, GeneralizedForm.one(chart, params), gen_to_doc)
+    forms, koszul, gen = OrdinaryForm.wedge, KoszulElement.mul, GeneralizedForm.wedge
 
     # supercommutativity in all three algebras
     p = rng.randint(0, chart.dim)
@@ -404,24 +374,13 @@ def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
     expected = tensor(ta.wedge(tb), tu.mul(tv))
     if (ts * tq) % 2:
         expected = -expected
-    trial.check_zero(
-        "tensor_sign_rule",
-        tensor(ta, tu).wedge(tensor(tb, tv)) - expected,
-        GeneralizedForm.one(chart, params),
-        {
-            "a": form_to_doc(ta),
-            "u": koszul_to_doc(tu),
-            "b": form_to_doc(tb),
-            "v": koszul_to_doc(tv),
-        },
-    )
+    delta = tensor(ta, tu).wedge(tensor(tb, tv)) - expected
+    trial.check_zero("tensor_sign_rule", delta, a=ta, u=tu, b=tb, v=tv)
 
 
 def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     k = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
-    params = KoszulParams((k,))
-    one = GeneralizedForm.one(chart, params)
 
     p = rng.randint(-1, chart.dim)
     q = rng.randint(-1, chart.dim)
@@ -431,7 +390,6 @@ def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None
     b_next = rand_form(rng, chart, cfg, degree=q + 1)
     enc_a = pair_encode(a_p, a_next, k)
     enc_b = pair_encode(b_q, b_next, k)
-    inputs = {"left": gen_to_doc(enc_a), "right": gen_to_doc(enc_b)}
 
     # product: (a_p b_q, a_p b_{q+1} + (-1)^q a_{p+1} b_q)
     sign_q = 1 if q % 2 == 0 else -1
@@ -440,7 +398,8 @@ def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None
     cross = a_next.wedge(b_q)
     second = a_p.wedge(b_next) + (cross if sign_q > 0 else -cross)
     formula = pair_encode(a_p.wedge(b_q), second, k)
-    trial.check_zero("pair_wedge", enc_a.wedge(enc_b) - formula, one, inputs)
+    delta = enc_a.wedge(enc_b) - formula
+    trial.check_zero("pair_wedge", delta, left=enc_a, right=enc_b)
 
     # differential: (d a_p + (-1)^{p+1} k a_{p+1}, d a_next)
     sign_p = 1 if (p + 1) % 2 == 0 else -1
@@ -448,42 +407,30 @@ def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None
     if trial.mutation == "drop_k":
         kterm = OrdinaryForm.zero(chart)
     dformula = pair_encode(a_p.d() + kterm, a_next.d(), k)
-    trial.check_zero(
-        "pair_d", enc_a.d() - dformula, one, {"left": gen_to_doc(enc_a)}
-    )
+    trial.check_zero("pair_d", enc_a.d() - dformula, left=enc_a)
 
 
 def _chain_homotopy(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     form = rand_form(rng, chart, cfg)
     plot = rand_plot(rng, chart, cfg)
     lhs = chen_integral(form.d(), plot) + chen_integral(form, plot).d()
     rhs = ev_pullback(1, form, plot) - ev_pullback(0, form, plot)
-    trial.check_zero(
-        "chain_homotopy",
-        lhs - rhs,
-        _form_one(plot.domain),
-        {"form": form_to_doc(form), "plot": plot_to_doc(plot)},
-    )
+    trial.check_zero("chain_homotopy", lhs - rhs, form=form, plot=plot)
 
 
 def _dI_commute(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
     alpha = rand_genform_mixed(rng, chart, params, cfg)
     plot = rand_plot(rng, chart, cfg)
     lhs = eval_pathform(map_I(alpha.d()), plot)
     rhs = eval_pathform(map_I(alpha), plot).d()
-    trial.check_zero(
-        "dI_commute",
-        lhs - rhs,
-        _form_one(plot.domain),
-        {"generalized": gen_to_doc(alpha), "plot": plot_to_doc(plot)},
-    )
+    trial.check_zero("dI_commute", lhs - rhs, generalized=alpha, plot=plot)
 
 
 def _kernel(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     k = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
     f = OrdinaryForm.from_poly(
         chart, rand_poly(rng, chart.coordinates, cfg.poly_deg, cfg.coeff_bound)
@@ -496,60 +443,43 @@ def _kernel(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
     if trial.mutation == "perturb_element":
         element = pair_encode(f, f.d().scale(2 / k), k)
     plot = rand_plot(rng, chart, cfg)
-    trial.check_zero(
-        "kernel",
-        eval_pathform(map_I(element), plot),
-        _form_one(plot.domain),
-        {"element": gen_to_doc(element), "plot": plot_to_doc(plot)},
-    )
+    value = eval_pathform(map_I(element), plot)
+    trial.check_zero("kernel", value, element=element, plot=plot)
 
 
 def _wedge_prime(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = _chart(rng.randint(1, cfg.chart_dim))
+    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
     p = rng.randint(1, chart.dim)
     q = rng.randint(1, chart.dim)
     a = rand_genform(rng, chart, params, cfg, degree=p)
     b = rand_genform(rng, chart, params, cfg, degree=q)
     plot = rand_plot(rng, chart, cfg)
-    one = _form_one(plot.domain)
-    inputs = {
-        "left": gen_to_doc(a),
-        "right": gen_to_doc(b),
-        "plot": plot_to_doc(plot),
-    }
+    inputs = {"left": a, "right": b, "plot": plot}
 
     product = eval_pathform(wedge_prime(a, b), plot)
     explicit = eval_pathform(wedge_prime_explicit(a, b), plot)
-    trial.check_zero("wedge_prime_explicit", product - explicit, one, inputs)
+    trial.check_zero("wedge_prime_explicit", product - explicit, **inputs)
 
     flipped = eval_pathform(wedge_prime(b, a), plot)
-    trial.check_zero(
-        "wedge_prime_supercomm",
-        product - (flipped if (p * q) % 2 == 0 else -flipped),
-        one,
-        inputs,
-    )
+    delta = product - (flipped if (p * q) % 2 == 0 else -flipped)
+    trial.check_zero("wedge_prime_supercomm", delta, **inputs)
 
     left = eval_pathform(wedge_prime(a.d(), b), plot)
     right = eval_pathform(wedge_prime(a, b.d()), plot)
     rhs = left + (right if p % 2 == 0 else -right)
-    trial.check_zero("wedge_prime_leibniz", product.d() - rhs, one, inputs)
+    trial.check_zero("wedge_prime_leibniz", product.d() - rhs, **inputs)
 
 
 def _injectivity_witness(trial: _Trial, witness: Witness, cfg: GenConfig) -> None:
-    value = eval_pathform(map_I(witness.alpha), witness.plot)
     trial.check_equal_nonzero(
         "injectivity_witness",
-        value,
+        eval_pathform(map_I(witness.alpha), witness.plot),
         witness.expected,
-        _form_one(witness.plot.domain),
-        {
-            "witness": witness.label,
-            "alpha": gen_to_doc(witness.alpha),
-            "plot": plot_to_doc(witness.plot),
-            "expected": form_to_doc(witness.expected),
-        },
+        witness=witness.label,
+        alpha=witness.alpha,
+        plot=witness.plot,
+        expected=witness.expected,
     )
 
 

@@ -7,7 +7,8 @@ import pytest
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
 from pathforms.polyring import MismatchError, Poly
 from pathforms.signs import merge_indices, sort_with_sign
-from pathforms.verify import GenConfig, _chart, _rng, rand_form, rand_form_mixed, rand_plot
+from pathforms.serialize import default_target_chart
+from pathforms.verify import GenConfig, _rng, rand_form, rand_form_mixed, rand_plot
 
 R2 = Chart(("x1", "x2"))
 R3 = Chart(("x1", "x2", "x3"))
@@ -113,6 +114,12 @@ def test_non_integer_indices_rejected(indices):
         OrdinaryForm(R2, {indices: R2.const(1)})
 
 
+def test_non_poly_coefficient_rejected():
+    # an int coefficient used to raise AttributeError
+    with pytest.raises(TypeError):
+        OrdinaryForm(Chart(("x",)), {(0,): 1})
+
+
 def test_non_integer_dx_index_rejected():
     with pytest.raises(TypeError):
         dx(R2, 0.9)
@@ -147,7 +154,7 @@ CFG = GenConfig(seed=11, trials=40)
 def test_random_d_squared_and_leibniz():
     for i in range(CFG.trials):
         rng = _rng(CFG, "forms-test", i)
-        chart = _chart(rng.randint(1, CFG.chart_dim))
+        chart = default_target_chart(rng.randint(1, CFG.chart_dim))
         a = rand_form_mixed(rng, chart, CFG)
         assert a.d().d().is_zero
         p = rng.randint(0, chart.dim)
@@ -162,7 +169,7 @@ def test_random_d_squared_and_leibniz():
 def test_random_pullback_commutes_with_d_and_wedge():
     for i in range(CFG.trials):
         rng = _rng(CFG, "forms-pullback", i)
-        chart = _chart(rng.randint(1, CFG.chart_dim))
+        chart = default_target_chart(rng.randint(1, CFG.chart_dim))
         plot = rand_plot(rng, chart, CFG)
         m = plot.as_map()
         a = rand_form_mixed(rng, chart, CFG)

@@ -145,6 +145,26 @@ def test_non_integer_indices_rejected():
         GeneralizedForm(R1, params, {(0.5,): dx(R1, 0)})
 
 
+def test_non_form_component_rejected():
+    # a Poly component used to raise AttributeError
+    params = KoszulParams((Fraction(1),))
+    with pytest.raises(TypeError):
+        GeneralizedForm(R1, params, {(): R1.const(1)})
+
+
+def test_unit_is_the_multiplicative_identity():
+    params = KoszulParams((Fraction(2),))
+    a = pair_encode(dx(R1, 0), OrdinaryForm.zero(R1), 2)
+    assert a.unit() == GeneralizedForm.one(R1, params)
+    assert a.unit().wedge(a) == a == a.wedge(a.unit())
+    form = dx(R1, 0)
+    assert form.unit() == OrdinaryForm.from_poly(R1, R1.const(1))
+    assert form.unit().wedge(form) == form
+    element = KoszulElement.generator(params, 0)
+    assert element.unit() == KoszulElement.scalar(params, 1)
+    assert element.unit().mul(element) == element
+
+
 def test_components_are_read_only():
     params = KoszulParams((Fraction(1),))
     zeta = GeneralizedForm.zeta(R1, params, 0)

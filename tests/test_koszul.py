@@ -83,6 +83,18 @@ def test_non_integer_indices_rejected(indices):
         KoszulElement(K2, {indices: 1})
 
 
+@pytest.mark.parametrize("coeff", [True, "1/2"])
+def test_non_rational_coefficients_rejected(coeff):
+    # True used to become 1 and "1/2" the Fraction 1/2
+    with pytest.raises(TypeError):
+        KoszulElement(K2, {(0,): coeff})
+
+
+def test_string_constant_rejected():
+    with pytest.raises(TypeError):
+        KoszulParams(("2",))
+
+
 def test_terms_are_read_only():
     e = z(K2, 1)
     with pytest.raises(TypeError):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from pathforms.forms import Chart, OrdinaryForm
 from pathforms.pathspace import Plot, chen_integral, decompose, ev_pullback
 from pathforms.polyring import Poly
-from pathforms.verify import GenConfig, _chart, _rng, rand_form_mixed, rand_plot
+from pathforms.serialize import default_target_chart
+from pathforms.verify import GenConfig, _rng, rand_form_mixed, rand_plot
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ  # noqa: E402
@@ -133,7 +134,7 @@ def random_cases():
     cfg = GenConfig(seed=23, trials=30)
     for i in range(cfg.trials):
         rng = _rng(cfg, "oracle-pullback", i)
-        chart = _chart(rng.randint(1, cfg.chart_dim))
+        chart = default_target_chart(rng.randint(1, cfg.chart_dim))
         yield rand_form_mixed(rng, chart, cfg), rand_plot(rng, chart, cfg)
     rng = random.Random(5)
     chart = Chart(("x1", "x2", "x3"))

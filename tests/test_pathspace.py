@@ -287,6 +287,18 @@ def test_plot_validation():
         line_plot().endpoint_map(2)
 
 
+@pytest.mark.parametrize("endpoint", [True, 1.0])
+def test_non_integer_endpoint_rejected(endpoint):
+    # EvPull(True, w) used to be accepted and then serialize as "endpoint": true,
+    # which the expression parser refuses
+    with pytest.raises(TypeError):
+        EvPull(endpoint, dx(X1, 0))
+    with pytest.raises(TypeError):
+        line_plot().endpoint_map(endpoint)
+    with pytest.raises(TypeError):
+        ev_pullback(endpoint, dx(X1, 0), line_plot())
+
+
 def test_degree_bounds_under_evaluation():
     # a 2-form pulled to a 1-parameter family has no room to survive
     w = dx(X2, 0).wedge(dx(X2, 1))

@@ -110,6 +110,25 @@ def test_floats_rejected():
         p({(1, 0): 0.5})
 
 
+@pytest.mark.parametrize("value", [True, False, "1/2", "3"])
+def test_as_fraction_takes_only_ints_and_fractions(value):
+    # bools and strings used to pass through to Fraction()
+    with pytest.raises(TypeError):
+        as_fraction(value)
+    assert as_fraction(3) == Fraction(3)
+    assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_string_coefficient_rejected():
+    with pytest.raises(TypeError):
+        Poly(("x",), {(1,): "1/2"})
+
+
+def test_string_factor_rejected():
+    with pytest.raises(TypeError):
+        p({(1, 0): 1}) * "3"
+
+
 @pytest.mark.parametrize("exps", [(1.5,), (1.0,), (True,), (Fraction(1),), ("1",)])
 def test_non_integer_exponents_rejected(exps):
     with pytest.raises(TypeError):

@@ -33,6 +33,7 @@ from pathforms.serialize import (
     plot_to_doc,
     poly_from_doc,
     poly_to_doc,
+    to_doc,
 )
 from pathforms.verify import GenConfig, gen_random
 
@@ -269,6 +270,28 @@ def test_expression_doc_rejections():
         expr_from_doc([])
     with pytest.raises(ParseError):
         expr_from_doc({"node": ["Sum"], "children": []})
+
+
+def test_to_doc_dispatches_by_type():
+    form = dx(X2, 0)
+    params = KoszulParams((Fraction(2),))
+    element = KoszulElement.generator(params, 0)
+    gen = pair_encode(form, OrdinaryForm.zero(X2), 2)
+    plot = gen_random("plot", GenConfig(seed=1))
+    expr = map_I(gen)
+    assert to_doc(form) == form_to_doc(form)
+    assert to_doc(element) == koszul_to_doc(element)
+    assert to_doc(gen) == gen_to_doc(gen)
+    assert to_doc(plot) == plot_to_doc(plot)
+    assert to_doc(expr) == expr_to_doc(expr)
+    assert to_doc(Fraction(-3, 4)) == "-3/4"
+    assert to_doc((1, "w", Fraction(1, 2))) == [1, "w", "1/2"]
+
+
+@pytest.mark.parametrize("value", [0.5, True, None, [1], {"a": 1}, object()])
+def test_to_doc_rejects_unsupported_values(value):
+    with pytest.raises(TypeError):
+        to_doc(value)
 
 
 def test_too_deep_expression_is_a_parse_error():

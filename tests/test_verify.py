@@ -3,11 +3,20 @@ their config, and catch planted bugs."""
 
 import pytest
 
+import pathforms.serialize
+import pathforms.verify
 from pathforms.forms import OrdinaryForm
 from pathforms.generalized import GeneralizedForm
 from pathforms.pathspace import Plot
 from pathforms.polyring import Poly
-from pathforms.serialize import gen_from_doc, gen_to_doc, plot_from_doc
+from pathforms.serialize import (
+    form_from_doc,
+    gen_from_doc,
+    gen_to_doc,
+    koszul_from_doc,
+    plot_from_doc,
+    to_doc,
+)
 from pathforms.verify import (
     ALL_SUITES,
     GenConfig,
@@ -172,3 +181,42 @@ def test_form_docs_round_trip_through_failure_records():
     right = gen_from_doc(failure["inputs"]["right"])
     assert gen_to_doc(left) == failure["inputs"]["left"]
     assert left.chart == right.chart
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_passing_checks_serialize_nothing(suite, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing check serialized its inputs")
+
+    for module in (pathforms.serialize, pathforms.verify):
+        for name in list(vars(module)):
+            if name.endswith("to_doc") and callable(getattr(module, name)):
+                monkeypatch.setattr(module, name, refuse)
+    assert run_suite(suite, GenConfig(seed=7, trials=5)).passed
+
+
+def _input_decoder(check: str, key: str):
+    """The *_from_doc that reads the input `key` of a failed `check`."""
+    if key == "plot":
+        return plot_from_doc
+    if key in ("form", "expected") or check.startswith("form_"):
+        return form_from_doc
+    if check == "tensor_sign_rule":
+        return form_from_doc if key in ("a", "b") else koszul_from_doc
+    if key == "koszul" or check.startswith("koszul_"):
+        return koszul_from_doc
+    return gen_from_doc
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_perturbed_failure_inputs_decode(suite):
+    report = run_suite(suite, GenConfig(seed=7, trials=5), mutation="perturb")
+    assert report.failures
+    for failure in report.failures:
+        inputs = dict(failure["inputs"])
+        if failure["check"] == "injectivity_witness":
+            assert isinstance(inputs.pop("witness"), str)
+        assert inputs
+        for key, doc in inputs.items():
+            value = _input_decoder(failure["check"], key)(doc)
+            assert to_doc(value) == doc
