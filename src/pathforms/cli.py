@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .forms import Chart
+from .forms import Chart, OrdinaryForm
 from .pathspace import (
     Chen,
     EvPull,
@@ -25,18 +25,7 @@ from .pathspace import (
     wedge_prime,
 )
 from .polyring import MismatchError
-from .serialize import (
-    ParseError,
-    dumps,
-    expr_from_doc,
-    expr_to_doc,
-    form_from_doc,
-    form_to_doc,
-    gen_from_doc,
-    gen_to_doc,
-    loads,
-    plot_from_doc,
-)
+from .serialize import ParseError, dumps, from_doc, loads, to_doc
 from .verify import ALL_SUITES, GenConfig, run_all, run_suite
 
 PARSE_ERROR = 2
@@ -51,17 +40,20 @@ def _read_doc(path: str):
     return loads(text)
 
 
-def _embedded_chart(expr: PathFormExpr) -> Chart | None:
-    """The single chart the expression's forms live on, if any."""
+def _embedded_chart(value: OrdinaryForm | PathFormExpr) -> Chart | None:
+    """The single chart a form or an expression's forms live on, if any."""
     charts: list[Chart] = []
 
-    def walk(node: PathFormExpr) -> None:
-        if isinstance(node, (EvPull, Chen)):
-            charts.append(node.form.chart)
-        for child in node.subexpressions():
-            walk(child)
+    def walk(node: OrdinaryForm | PathFormExpr) -> None:
+        if isinstance(node, OrdinaryForm):
+            charts.append(node.chart)
+        elif isinstance(node, (EvPull, Chen)):
+            walk(node.form)
+        else:
+            for child in node.subexpressions():
+                walk(child)
 
-    walk(expr)
+    walk(value)
     if not charts:
         return None
     first = charts[0]
@@ -73,55 +65,69 @@ def _embedded_chart(expr: PathFormExpr) -> Chart | None:
     return first
 
 
-def _cmd_d(args) -> tuple[dict, int]:
-    form = form_from_doc(_read_doc(args.form))
-    return form_to_doc(form.d()), 0
+# Each document verb: its help text, its operation, and its operands as
+# (argument, document type).  The operations look their functions up when
+# called, so a module global or method replaced later is the one used.
+VERBS = {
+    "d": (
+        "exterior differential of a form",
+        lambda form: form.d(),
+        (("form", "OrdinaryForm"),),
+    ),
+    "wedge": (
+        "wedge product of two forms",
+        lambda left, right: left.wedge(right),
+        (("left", "OrdinaryForm"), ("right", "OrdinaryForm")),
+    ),
+    "gwedge": (
+        "product of two generalized forms",
+        lambda left, right: left.wedge(right),
+        (("left", "GeneralizedForm"), ("right", "GeneralizedForm")),
+    ),
+    "gd": (
+        "differential of a generalized form",
+        lambda form: form.d(),
+        (("form", "GeneralizedForm"),),
+    ),
+    "chen": (
+        "first-order t-integral of a form over a plot",
+        lambda form, plot: chen_integral(form, plot),
+        (("form", "OrdinaryForm"), ("plot", "Plot")),
+    ),
+    "imap": (
+        "path-space image of a generalized form (n=1)",
+        lambda form: map_I(form),
+        (("form", "GeneralizedForm"),),
+    ),
+    "wedge-prime": (
+        "transported product of two generalized forms (degree >= 1)",
+        lambda left, right: wedge_prime(left, right),
+        (("left", "GeneralizedForm"), ("right", "GeneralizedForm")),
+    ),
+    "eval": (
+        "evaluate a path-form expression on a plot",
+        lambda expr, plot: eval_pathform(expr, plot),
+        (("expr", "PathFormExpr"), ("plot", "Plot")),
+    ),
+}
 
 
-def _cmd_wedge(args) -> tuple[dict, int]:
-    left = form_from_doc(_read_doc(args.left))
-    right = form_from_doc(_read_doc(args.right))
-    return form_to_doc(left.wedge(right)), 0
-
-
-def _cmd_gwedge(args) -> tuple[dict, int]:
-    left = gen_from_doc(_read_doc(args.left))
-    right = gen_from_doc(_read_doc(args.right))
-    return gen_to_doc(left.wedge(right)), 0
-
-
-def _cmd_gd(args) -> tuple[dict, int]:
-    value = gen_from_doc(_read_doc(args.form))
-    return gen_to_doc(value.d()), 0
-
-
-def _cmd_chen(args) -> tuple[dict, int]:
-    form = form_from_doc(_read_doc(args.form))
-    plot = plot_from_doc(_read_doc(args.plot), target=form.chart)
-    return form_to_doc(chen_integral(form, plot)), 0
+def _cmd_document(args) -> tuple[dict, int]:
+    """Decode the verb's operands in order, a plot against the chart of the
+    operand before it, apply the operation and encode its result."""
+    _, operation, operands = VERBS[args.verb]
+    values: list = []
+    for name, type_name in operands:
+        doc = _read_doc(getattr(args, name))
+        chart = _embedded_chart(values[-1]) if type_name == "Plot" else None
+        values.append(from_doc(type_name, doc, chart))
+    return to_doc(operation(*values)), 0
 
 
 def _cmd_ev(args) -> tuple[dict, int]:
-    form = form_from_doc(_read_doc(args.form))
-    plot = plot_from_doc(_read_doc(args.plot), target=form.chart)
-    return form_to_doc(ev_pullback(args.endpoint, form, plot)), 0
-
-
-def _cmd_imap(args) -> tuple[dict, int]:
-    value = gen_from_doc(_read_doc(args.form))
-    return expr_to_doc(map_I(value)), 0
-
-
-def _cmd_wedge_prime(args) -> tuple[dict, int]:
-    left = gen_from_doc(_read_doc(args.left))
-    right = gen_from_doc(_read_doc(args.right))
-    return expr_to_doc(wedge_prime(left, right)), 0
-
-
-def _cmd_eval(args) -> tuple[dict, int]:
-    expr = expr_from_doc(_read_doc(args.expr))
-    plot = plot_from_doc(_read_doc(args.plot), target=_embedded_chart(expr))
-    return form_to_doc(eval_pathform(expr, plot)), 0
+    form = from_doc("OrdinaryForm", _read_doc(args.form))
+    plot = from_doc("Plot", _read_doc(args.plot), form.chart)
+    return to_doc(ev_pullback(args.endpoint, form, plot)), 0
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
@@ -156,43 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write the result document to this path")
         return cmd
 
-    cmd = add("d", _cmd_d, "exterior differential of a form")
-    cmd.add_argument("form", help="form document")
-
-    cmd = add("wedge", _cmd_wedge, "wedge product of two forms")
-    cmd.add_argument("left", help="form document")
-    cmd.add_argument("right", help="form document")
-
-    cmd = add("gwedge", _cmd_gwedge, "product of two generalized forms")
-    cmd.add_argument("left", help="generalized form document")
-    cmd.add_argument("right", help="generalized form document")
-
-    cmd = add("gd", _cmd_gd, "differential of a generalized form")
-    cmd.add_argument("form", help="generalized form document")
-
-    cmd = add("chen", _cmd_chen, "first-order t-integral of a form over a plot")
-    cmd.add_argument("form", help="form document")
-    cmd.add_argument("plot", help="plot document")
+    for verb, (help_, _, operands) in VERBS.items():
+        cmd = add(verb, _cmd_document, help_)
+        for name, type_name in operands:
+            cmd.add_argument(name, help=f"{type_name} document")
 
     cmd = add("ev", _cmd_ev, "endpoint evaluation pullback of a form")
-    cmd.add_argument("form", help="form document")
-    cmd.add_argument("plot", help="plot document")
+    cmd.add_argument("form", help="OrdinaryForm document")
+    cmd.add_argument("plot", help="Plot document")
     cmd.add_argument("--endpoint", type=int, choices=(0, 1), required=True)
-
-    cmd = add("imap", _cmd_imap, "path-space image of a generalized form")
-    cmd.add_argument("form", help="generalized form document (n=1)")
-
-    cmd = add(
-        "wedge-prime",
-        _cmd_wedge_prime,
-        "transported product of two generalized forms (degree >= 1)",
-    )
-    cmd.add_argument("left", help="generalized form document")
-    cmd.add_argument("right", help="generalized form document")
-
-    cmd = add("eval", _cmd_eval, "evaluate a path-form expression on a plot")
-    cmd.add_argument("expr", help="expression document")
-    cmd.add_argument("plot", help="plot document")
 
     cmd = add("verify", _cmd_verify, "run property suites")
     cmd.add_argument("--suite", default="all", choices=("all",) + ALL_SUITES)
@@ -213,11 +191,9 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR
-    except MismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return MISMATCH_ERROR
     except ValueError as e:
-        # parsed fine, but the operands are outside the operation's domain
+        # parsed fine, but the operands do not fit together (a MismatchError)
+        # or are outside the operation's domain
         print(f"error: {e}", file=sys.stderr)
         return MISMATCH_ERROR
     text = dumps(doc)

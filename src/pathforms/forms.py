@@ -31,6 +31,9 @@ class Chart:
     def __post_init__(self):
         coords = tuple(self.coordinates)
         object.__setattr__(self, "coordinates", coords)
+        for name in coords:
+            if not isinstance(name, str):
+                raise TypeError(f"coordinate names must be strings, got {name!r}")
         if len(set(coords)) != len(coords):
             raise ValueError(f"coordinate names must be distinct: {coords!r}")
 

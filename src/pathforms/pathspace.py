@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import ClassVar
 
 from .forms import Chart, OrdinaryForm, PolyMap
 from .generalized import GeneralizedForm, pair_decode
@@ -37,25 +38,11 @@ class Plot:
     target: Chart
     domain: Chart
     components: tuple[Poly, ...]
-    time: str = "t"
+    time: ClassVar[str] = "t"
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        if self.time in self.domain.coordinates:
-            raise ValueError(
-                f"time variable {self.time!r} collides with a domain coordinate"
-            )
-        cyl = self.cylinder.coordinates
-        if len(comps) != self.target.dim:
-            raise MismatchError(
-                f"expected {self.target.dim} components, got {len(comps)}"
-            )
-        for poly in comps:
-            if poly.variables != cyl:
-                raise MismatchError(
-                    f"component over {poly.variables!r} is not over {cyl!r}"
-                )
+        object.__setattr__(self, "components", tuple(self.components))
+        self.as_map()  # checks the cylinder's names and each component
 
     @property
     def cylinder(self) -> Chart:
@@ -260,16 +247,22 @@ def map_I(a: GeneralizedForm) -> PathFormExpr:
         if p < 0:
             continue
         part = a.part(p)
-        w_p = part.component(())
-        w_next = part.component((0,))
-        if not w_p.is_zero:
-            terms.append(EvPull(1, w_p))
-            terms.append(Scale(Fraction(-1), EvPull(0, w_p)))
-        if not w_next.is_zero:
-            coeff = k * (-1 if p % 2 == 0 else 1)
-            if coeff != 0:
-                terms.append(Scale(coeff, chen(w_next)))
+        terms += _transfer_terms(k, p, part.component(()), part.component((0,)))
     return Sum(tuple(terms))
+
+
+def _transfer_terms(
+    k: Fraction, p: int, w: OrdinaryForm, v: OrdinaryForm
+) -> list[PathFormExpr]:
+    """The nonzero terms of ev_1^* w - ev_0^* w + k (-1)^{p+1} Chen(v)."""
+    terms: list[PathFormExpr] = []
+    if not w.is_zero:
+        terms.append(EvPull(1, w))
+        terms.append(Scale(Fraction(-1), EvPull(0, w)))
+    coeff = k * (-1 if p % 2 == 0 else 1)
+    if not v.is_zero and coeff != 0:
+        terms.append(Scale(coeff, chen(v)))
+    return terms
 
 
 def _check_transportable(a: GeneralizedForm, b: GeneralizedForm) -> None:
@@ -317,11 +310,4 @@ def wedge_prime_explicit(a: GeneralizedForm, b: GeneralizedForm) -> PathFormExpr
     combo = a_p.wedge(b_next)
     cross = a_next.wedge(b_q)
     combo = combo + (cross if q % 2 == 0 else -cross)
-    terms: list[PathFormExpr] = []
-    if not front.is_zero:
-        terms.append(EvPull(1, front))
-        terms.append(Scale(Fraction(-1), EvPull(0, front)))
-    if not combo.is_zero:
-        coeff = k * (-1 if (p + q) % 2 == 0 else 1)
-        terms.append(Scale(coeff, chen(combo)))
-    return Sum(tuple(terms))
+    return Sum(tuple(_transfer_terms(k, p + q, front, combo)))

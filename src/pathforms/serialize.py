@@ -12,7 +12,8 @@ is ever rounded in transit, and all indices 0-based:
     Expression  {"node": "EvPull"|"Chen"|"Wedge"|"Diff"|"Sum"|"Scale", ...}
 
 Plot documents carry dimensions only; parsing one invents the names
-t, u1..um and x1..xN unless a target chart is supplied.  dumps() is the
+t, u1..um and x1..xN unless a target chart is supplied.  to_doc() encodes
+any value by its type and from_doc() decodes by type name.  dumps() is the
 single canonical renderer (sorted keys, two-space indent, trailing
 newline) so equal values always serialize to identical bytes.
 """
@@ -259,7 +260,7 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
             f"plot targets dimension {target_dim}, chart has {target.dim}"
         )
     domain = default_domain_chart(m)
-    cylinder = ("t",) + domain.coordinates
+    cylinder = (Plot.time,) + domain.coordinates
     components = tuple(
         poly_from_doc(item, cylinder)
         for item in _expect_list(obj.get("components"), "plot components")
@@ -292,6 +293,29 @@ def to_doc(value: Any) -> Any:
     raise TypeError(f"no document for {type(value).__name__} value {value!r}")
 
 
+def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
+    """The value of a document of the named type (an annotation name of the
+    expression nodes' fields), by its type's decoder (a module global,
+    looked up per call); a plot is read against `chart`."""
+    if type_name == "OrdinaryForm":
+        return form_from_doc(doc)
+    if type_name == "GeneralizedForm":
+        return gen_from_doc(doc)
+    if type_name == "PathFormExpr":
+        return expr_from_doc(doc)
+    if type_name == "tuple[PathFormExpr, ...]":
+        return tuple(expr_from_doc(item) for item in _expect_list(doc, "expressions"))
+    if type_name == "Plot":
+        return plot_from_doc(doc, chart)
+    if type_name == "Fraction":
+        return frac_from_str(doc)
+    if type_name == "int":
+        if not isinstance(doc, int) or isinstance(doc, bool):
+            raise ParseError(f"expected an integer, got {doc!r}")
+        return doc
+    raise TypeError(f"no decoder for type {type_name!r}")
+
+
 # -- path-form expressions ------------------------------------------------------
 
 
@@ -317,21 +341,7 @@ def expr_from_doc(doc: Any) -> PathFormExpr:
         cls = _NODES.get(node) if isinstance(node, str) else None
         if cls is None:
             raise ParseError(f"unknown expression node {node!r}")
-        args = []
-        for field in fields(cls):
-            value = obj.get(field.name)
-            if field.type == "OrdinaryForm":
-                value = form_from_doc(value)
-            elif field.type == "Fraction":
-                value = frac_from_str(value)
-            elif field.type == "PathFormExpr":
-                value = expr_from_doc(value)
-            elif field.type == "tuple[PathFormExpr, ...]":
-                items = _expect_list(value, f"{node} {field.name}")
-                value = tuple(expr_from_doc(child) for child in items)
-            elif not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError(f"expected an integer {field.name}, got {value!r}")
-            args.append(value)
+        args = [from_doc(field.type, obj.get(field.name)) for field in fields(cls)]
         return _construct(cls, *args)
     except RecursionError as e:
         raise ParseError("expression nested too deeply") from e

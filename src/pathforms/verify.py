@@ -110,10 +110,10 @@ def rand_poly(
     variables: tuple[str, ...],
     max_deg: int,
     bound: int,
-    max_terms: int = 3,
 ) -> Poly:
+    """A random polynomial of at most three terms of degree <= max_deg."""
     terms: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, 3)):
         terms[_rand_exponents(rng, len(variables), max_deg)] = rand_fraction(rng, bound)
     return Poly(variables, terms)
 
@@ -215,7 +215,7 @@ def rand_genform_mixed(
 def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:
     m = rng.randint(1, cfg.plot_dim)
     domain = default_domain_chart(m)
-    cylinder = ("t",) + domain.coordinates
+    cylinder = (Plot.time,) + domain.coordinates
     components = tuple(
         rand_poly(rng, cylinder, cfg.poly_deg, cfg.coeff_bound)
         for _ in range(target.dim)

@@ -254,6 +254,38 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert doc["reports"][0]["failures"]
 
 
+def test_verbs_look_operations_up_at_call_time(tmp_path, capsys, monkeypatch):
+    # a verb must call the name cli holds when it runs, as the benchmark's
+    # tracer replaces those names after import
+    import pathforms.cli as cli
+
+    names = ("chen_integral", "ev_pullback", "map_I", "wedge_prime", "eval_pathform")
+    calls = {}
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    form = write_doc(tmp_path, "w.json", form_to_doc(dx(X2, 0).wedge(dx(X2, 1))))
+    plot = write_doc(tmp_path, "plot.json", plot_to_doc(square_plot()))
+    alpha = pair_encode(dx(X2, 0), dx(X2, 0).wedge(dx(X2, 1)), 2)
+    gen = write_doc(tmp_path, "alpha.json", gen_to_doc(alpha))
+    expr = write_doc(tmp_path, "expr.json", expr_to_doc(map_I(alpha)))
+    for argv in (
+        ("chen", form, plot),
+        ("ev", form, plot, "--endpoint", "1"),
+        ("imap", gen),
+        ("wedge-prime", gen, gen),
+        ("eval", expr, plot),
+    ):
+        status, _, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+    assert calls == dict.fromkeys(names, 1)
+
+
 def test_missing_file_exits_2(capsys):
     status, _, err = run(capsys, "d", "/nonexistent/form.json")
     assert status == 2

@@ -125,6 +125,14 @@ def test_non_integer_dx_index_rejected():
         dx(R2, 0.9)
 
 
+@pytest.mark.parametrize("names", [(1, 2), ("x", None), (b"x",)])
+def test_non_string_coordinate_names_rejected(names):
+    # Chart((1, 2)) used to build, and its forms wrote a "chart" document
+    # that the form parser refuses
+    with pytest.raises(TypeError):
+        Chart(names)
+
+
 def test_components_are_read_only():
     w = dx(R2, 0)
     with pytest.raises(TypeError):

@@ -287,6 +287,15 @@ def test_plot_validation():
         line_plot().endpoint_map(2)
 
 
+def test_plot_time_is_not_a_field():
+    # a fourth argument used to set the time variable, which no caller used
+    cyl = (5, "u1")
+    with pytest.raises(TypeError):
+        Plot(X1, U1, (Poly.var(cyl, "u1"),), 5)
+    assert Plot.time == "t"
+    assert line_plot().cylinder == Chart(("t", "u1"))
+
+
 @pytest.mark.parametrize("endpoint", [True, 1.0])
 def test_non_integer_endpoint_rejected(endpoint):
     # EvPull(True, w) used to be accepted and then serialize as "endpoint": true,

@@ -22,6 +22,7 @@ from pathforms.serialize import (
     form_to_doc,
     frac_from_str,
     frac_to_str,
+    from_doc,
     gen_from_doc,
     gen_to_doc,
     koszul_from_doc,
@@ -292,6 +293,33 @@ def test_to_doc_dispatches_by_type():
 def test_to_doc_rejects_unsupported_values(value):
     with pytest.raises(TypeError):
         to_doc(value)
+
+
+def test_from_doc_mirrors_to_doc():
+    gen = pair_encode(dx(X2, 0), dx(X2, 0).wedge(dx(X2, 1)), 2)
+    expr = map_I(gen)
+    plot = gen_random("plot", GenConfig(seed=1))
+    values = {
+        "OrdinaryForm": dx(X2, 1),
+        "GeneralizedForm": gen,
+        "PathFormExpr": expr,
+        "tuple[PathFormExpr, ...]": expr.children,
+        "Fraction": Fraction(-3, 4),
+        "int": 1,
+    }
+    for name, value in values.items():
+        assert from_doc(name, to_doc(value)) == value
+    assert from_doc("Plot", to_doc(plot), plot.target) == plot
+    assert from_doc("Plot", to_doc(plot)) == plot_from_doc(to_doc(plot))
+    element = KoszulElement.generator(KoszulParams((Fraction(2),)), 0)
+    with pytest.raises(TypeError):
+        from_doc("KoszulElement", to_doc(element))
+
+
+@pytest.mark.parametrize("doc", [True, 1.0, "1", None])
+def test_from_doc_int_is_strict(doc):
+    with pytest.raises(ParseError):
+        from_doc("int", doc)
 
 
 def test_too_deep_expression_is_a_parse_error():
