@@ -15,8 +15,6 @@ from pathlib import Path
 
 from .forms import Chart, OrdinaryForm
 from .pathspace import (
-    Chen,
-    EvPull,
     PathFormExpr,
     chen_integral,
     ev_pullback,
@@ -42,27 +40,12 @@ def _read_doc(path: str):
 
 def _embedded_chart(value: OrdinaryForm | PathFormExpr) -> Chart | None:
     """The single chart a form or an expression's forms live on, if any."""
-    charts: list[Chart] = []
-
-    def walk(node: OrdinaryForm | PathFormExpr) -> None:
-        if isinstance(node, OrdinaryForm):
-            charts.append(node.chart)
-        elif isinstance(node, (EvPull, Chen)):
-            walk(node.form)
-        else:
-            for child in node.subexpressions():
-                walk(child)
-
-    walk(value)
-    if not charts:
-        return None
-    first = charts[0]
-    for chart in charts[1:]:
-        if chart != first:
-            raise MismatchError(
-                f"expression mixes forms on {first!r} and {chart!r}"
-            )
-    return first
+    forms = (value,) if isinstance(value, OrdinaryForm) else value.forms()
+    charts = list(dict.fromkeys(form.chart for form in forms))
+    if len(charts) > 1:
+        first, other = charts[:2]
+        raise MismatchError(f"expression mixes forms on {first!r} and {other!r}")
+    return charts[0] if charts else None
 
 
 # Each document verb: its help text, its operation, and its operands as

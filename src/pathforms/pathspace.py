@@ -21,6 +21,7 @@ is well defined in degrees >= 1 where map_I is injective (k nonzero).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import ClassVar
@@ -28,6 +29,14 @@ from typing import ClassVar
 from .forms import Chart, OrdinaryForm, PolyMap
 from .generalized import GeneralizedForm, pair_decode
 from .polyring import MismatchError, Poly, as_fraction
+
+
+def _check_endpoint(endpoint: int) -> None:
+    """An endpoint is the plain integer 0 or 1."""
+    if isinstance(endpoint, bool) or not isinstance(endpoint, int):
+        raise TypeError(f"endpoint must be an integer, got {endpoint!r}")
+    if endpoint not in (0, 1):
+        raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +63,7 @@ class Plot:
 
     def endpoint_map(self, endpoint: int) -> PolyMap:
         """The map U -> target obtained by freezing time at 0 or 1."""
-        if isinstance(endpoint, bool) or not isinstance(endpoint, int):
-            raise TypeError(f"endpoint must be an integer, got {endpoint!r}")
-        if endpoint not in (0, 1):
-            raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
+        _check_endpoint(endpoint)
         comps = tuple(
             poly.set_var(self.time, endpoint).drop_var(self.time)
             for poly in self.components
@@ -125,16 +131,18 @@ class PathFormExpr:
 
     __slots__ = ()
 
-    def subexpressions(self) -> tuple[PathFormExpr, ...]:
-        """The direct subexpressions, in field order."""
-        out: list[PathFormExpr] = []
+    def forms(self) -> Iterator[OrdinaryForm]:
+        """Every OrdinaryForm field, in field order, recursing into the
+        subexpression fields."""
         for field in fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, PathFormExpr):
-                out.append(value)
+            if isinstance(value, OrdinaryForm):
+                yield value
+            elif isinstance(value, PathFormExpr):
+                yield from value.forms()
             elif isinstance(value, tuple):
-                out.extend(value)
-        return tuple(out)
+                for child in value:
+                    yield from child.forms()
 
 
 @dataclass(frozen=True)
@@ -145,10 +153,7 @@ class EvPull(PathFormExpr):
     form: OrdinaryForm
 
     def __post_init__(self):
-        if isinstance(self.endpoint, bool) or not isinstance(self.endpoint, int):
-            raise TypeError(f"endpoint must be an integer, got {self.endpoint!r}")
-        if self.endpoint not in (0, 1):
-            raise ValueError(f"endpoint must be 0 or 1, got {self.endpoint!r}")
+        _check_endpoint(self.endpoint)
 
 
 @dataclass(frozen=True)

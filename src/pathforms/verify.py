@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -34,7 +34,7 @@ from .pathspace import (
     wedge_prime,
     wedge_prime_explicit,
 )
-from .polyring import Poly
+from .polyring import Poly, as_int_tuple
 from .serialize import default_domain_chart, default_target_chart, to_doc
 from .witnesses import Witness, injectivity_witnesses
 
@@ -52,6 +52,7 @@ class GenConfig:
     trials: int = 100
 
     def __post_init__(self):
+        as_int_tuple(astuple(self), "GenConfig fields")
         for name in ("chart_dim", "plot_dim", "poly_deg", "koszul_n", "coeff_bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -266,97 +267,70 @@ class _Trial:
             self.failures.append({"trial": self.index, "check": name, "inputs": inputs})
 
 
-def _check_leibniz(trial: _Trial, name: str, times: Callable, a, b, p: int) -> None:
-    """d(ab) == (da)b + (-1)^p a(db), with the algebra's product."""
-    term = times(a, b.d())
-    rhs = times(a.d(), b) + (term if p % 2 == 0 else -term)
-    trial.check_zero(name, times(a, b).d() - rhs, left=a, right=b)
-
-
-def _check_supercomm(trial: _Trial, name: str, times: Callable, a, b, pq: int) -> None:
-    """ab == (-1)^pq ba, with the algebra's product."""
-    flipped = times(b, a)
-    delta = times(a, b) - (flipped if pq % 2 == 0 else -flipped)
-    trial.check_zero(name, delta, left=a, right=b)
-
-
-def _check_assoc(trial: _Trial, name: str, times: Callable, triple: list) -> None:
-    """(ab)c == a(bc), with the algebra's product."""
-    a, b, c = triple
-    delta = times(times(a, b), c) - times(a, times(b, c))
-    trial.check_zero(name, delta, a=a, b=b, c=c)
+def _algebras(
+    rng: random.Random, chart: Chart, params: KoszulParams, cfg: GenConfig
+) -> tuple[tuple, ...]:
+    """One row per algebra the identity suites check: check-name prefix,
+    d_squared input key, product, degree range, homogeneous element of a
+    drawn degree, inhomogeneous element.  A Koszul draw s gives degree -s,
+    of the same parity.  Each trial builds the table anew and reads the
+    products off their classes then, so a patched method is the one used."""
+    return (
+        ("form", "form", OrdinaryForm.wedge, (0, chart.dim),
+         lambda p: rand_form(rng, chart, cfg, degree=p),
+         lambda: rand_form_mixed(rng, chart, cfg)),
+        ("koszul", "koszul", KoszulElement.mul, (0, params.n),
+         lambda s: rand_koszul(rng, params, cfg, degree=-s),
+         lambda: rand_koszul_mixed(rng, params, cfg)),
+        ("gen", "generalized", GeneralizedForm.wedge, (-params.n, chart.dim),
+         lambda p: rand_genform(rng, chart, params, cfg, degree=p),
+         lambda: rand_genform_mixed(rng, chart, params, cfg)),
+    )
 
 
 # -- suites --------------------------------------------------------------------
 #
 # Each suite is a per-trial check: it gets the trial that collects its
-# failures, the trial's case and the config.  The identity checks above
-# take an algebra's product function.
+# failures, the trial's case and the config.  The three identity suites
+# draw the chart and the Koszul parameters, then loop over the table above.
 
 
 def _d_squared(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
     chart = default_target_chart(rng.randint(1, cfg.chart_dim))
-    form = rand_form_mixed(rng, chart, cfg)
-    trial.check_zero("form_d_squared", form.d().d(), form=form)
     params = rand_koszul_params(rng, cfg)
-    element = rand_koszul_mixed(rng, params, cfg)
-    trial.check_zero("koszul_d_squared", element.d().d(), koszul=element)
-    gen = rand_genform_mixed(rng, chart, params, cfg)
-    trial.check_zero("gen_d_squared", gen.d().d(), generalized=gen)
+    for prefix, key, _, _, _, mixed in _algebras(rng, chart, params, cfg):
+        x = mixed()
+        trial.check_zero(f"{prefix}_d_squared", x.d().d(), **{key: x})
 
 
 def _leibniz(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    """d(ab) == (da)b + (-1)^p a(db) in each algebra."""
     chart = default_target_chart(rng.randint(1, cfg.chart_dim))
-
-    p = rng.randint(0, chart.dim)
-    q = rng.randint(0, chart.dim)
-    a = rand_form(rng, chart, cfg, degree=p)
-    b = rand_form(rng, chart, cfg, degree=q)
-    _check_leibniz(trial, "form_leibniz", OrdinaryForm.wedge, a, b, p)
-
     params = rand_koszul_params(rng, cfg)
-    s = rng.randint(0, params.n)
-    r = rng.randint(0, params.n)
-    u = rand_koszul(rng, params, cfg, degree=-s)
-    v = rand_koszul(rng, params, cfg, degree=-r)
-    _check_leibniz(trial, "koszul_leibniz", KoszulElement.mul, u, v, s)
-
-    gp = rng.randint(-params.n, chart.dim)
-    gq = rng.randint(-params.n, chart.dim)
-    ga = rand_genform(rng, chart, params, cfg, degree=gp)
-    gb = rand_genform(rng, chart, params, cfg, degree=gq)
-    _check_leibniz(trial, "gen_leibniz", GeneralizedForm.wedge, ga, gb, gp)
+    for prefix, _, times, span, element, _ in _algebras(rng, chart, params, cfg):
+        p, q = rng.randint(*span), rng.randint(*span)
+        a, b = element(p), element(q)
+        term = times(a, b.d())
+        rhs = times(a.d(), b) + (term if p % 2 == 0 else -term)
+        trial.check_zero(f"{prefix}_leibniz", times(a, b).d() - rhs, left=a, right=b)
 
 
 def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+    """ab == (-1)^pq ba on homogeneous pairs and (ab)c == a(bc) on
+    inhomogeneous triples in each algebra, then the tensor sign rule."""
     chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     params = rand_koszul_params(rng, cfg)
-    forms, koszul, gen = OrdinaryForm.wedge, KoszulElement.mul, GeneralizedForm.wedge
-
-    # supercommutativity in all three algebras
-    p = rng.randint(0, chart.dim)
-    q = rng.randint(0, chart.dim)
-    a = rand_form(rng, chart, cfg, degree=p)
-    b = rand_form(rng, chart, cfg, degree=q)
-    _check_supercomm(trial, "form_supercomm", forms, a, b, p * q)
-    s = rng.randint(0, params.n)
-    r = rng.randint(0, params.n)
-    u = rand_koszul(rng, params, cfg, degree=-s)
-    v = rand_koszul(rng, params, cfg, degree=-r)
-    _check_supercomm(trial, "koszul_supercomm", koszul, u, v, s * r)
-    gp = rng.randint(-params.n, chart.dim)
-    gq = rng.randint(-params.n, chart.dim)
-    ga = rand_genform(rng, chart, params, cfg, degree=gp)
-    gb = rand_genform(rng, chart, params, cfg, degree=gq)
-    _check_supercomm(trial, "gen_supercomm", gen, ga, gb, gp * gq)
-
-    # associativity (inhomogeneous triples)
-    triple = [rand_form_mixed(rng, chart, cfg) for _ in range(3)]
-    _check_assoc(trial, "form_assoc", forms, triple)
-    triple = [rand_koszul_mixed(rng, params, cfg) for _ in range(3)]
-    _check_assoc(trial, "koszul_assoc", koszul, triple)
-    triple = [rand_genform_mixed(rng, chart, params, cfg) for _ in range(3)]
-    _check_assoc(trial, "gen_assoc", gen, triple)
+    algebras = _algebras(rng, chart, params, cfg)
+    for prefix, _, times, span, element, _ in algebras:
+        p, q = rng.randint(*span), rng.randint(*span)
+        a, b = element(p), element(q)
+        flipped = times(b, a)
+        delta = times(a, b) - (flipped if (p * q) % 2 == 0 else -flipped)
+        trial.check_zero(f"{prefix}_supercomm", delta, left=a, right=b)
+    for prefix, _, times, _, _, mixed in algebras:
+        a, b, c = mixed(), mixed(), mixed()
+        delta = times(times(a, b), c) - times(a, times(b, c))
+        trial.check_zero(f"{prefix}_assoc", delta, a=a, b=b, c=c)
 
     # tensor sign rule: (a x u)(b x v) = (-1)^{|u| deg b} (a ^ b) x (uv)
     ts = rng.randint(0, params.n)

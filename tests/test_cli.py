@@ -355,25 +355,51 @@ def test_wedge_prime_domain_violations_exit_3(tmp_path, capsys):
     assert status == 3
 
 
-def test_deeply_nested_document_exits_2(tmp_path):
-    expr = '{"node": "Sum", "children": []}'
-    for _ in range(5000):
-        expr = '{"node": "Diff", "child": ' + expr + "}"
+def eval_in_subprocess(tmp_path, expr_text: str) -> subprocess.CompletedProcess:
+    """`pathforms eval` on an expression document's text and the square plot,
+    in a fresh interpreter, so recursion limits are those of a real run."""
     epath = tmp_path / "deep.json"
-    epath.write_text(expr)
+    epath.write_text(expr_text)
     ppath = write_doc(tmp_path, "plot.json", plot_to_doc(square_plot()))
     src = Path(pathforms.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pathforms.cli", "eval", str(epath), ppath],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    expr = '{"node": "Sum", "children": []}'
+    for _ in range(5000):
+        expr = '{"node": "Diff", "child": ' + expr + "}"
+    proc = eval_in_subprocess(tmp_path, expr)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("node", ["Diff", "Sum", "Scale", "Wedge"])
+def test_deep_expressions_that_parse_evaluate(tmp_path, node):
+    # 200 levels parse for every node kind; walking the expression's forms
+    # for its chart must not give out before parsing does
+    leaf = json.dumps({"node": "Chen", "form": form_to_doc(dx(X2, 0))})
+    wrap = {
+        "Diff": '{"node": "Diff", "child": %s}',
+        "Sum": '{"node": "Sum", "children": [%s]}',
+        "Scale": '{"node": "Scale", "coeff": "2/1", "child": %s}',
+        "Wedge": '{"node": "Wedge", "left": ' + leaf + ', "right": %s}',
+    }[node]
+    expr = leaf
+    for _ in range(200):
+        expr = wrap % expr
+    proc = eval_in_subprocess(tmp_path, expr)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert loads(proc.stdout)["chart"] == ["u1", "u2"]
 
 
 def test_argparse_rejects_unknown_verbs_and_flags(tmp_path):

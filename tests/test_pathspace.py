@@ -322,3 +322,10 @@ def test_expression_nodes_are_hashable():
     b = Sum((EvPull(1, dx(X2, 0)), Scale(-1, EvPull(0, w)), Chen(dx(X2, 0, 1))))
     assert a == b and hash(a) == hash(b)
     assert len({a, b, Diff(a), Wedge(a, a)}) == 3
+
+
+def test_forms_walks_every_form_field_in_field_order():
+    a, b, c = dx(X2, 0), dx(X2, 1), dx(X2, 0, 1)
+    expr = Sum((EvPull(1, a), Wedge(Chen(b), Scale(2, Diff(EvPull(0, c))))))
+    assert list(expr.forms()) == [a, b, c]
+    assert list(zero_expr().forms()) == []

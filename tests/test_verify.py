@@ -72,6 +72,17 @@ def test_config_validation():
         GenConfig(seed=0, koszul_n=0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("trials", True), ("chart_dim", 2.5), ("koszul_n", 2.0), ("seed", 1.5)],
+)
+def test_config_fields_must_be_integers(field, value):
+    # these used to build: trials=True reported "trials": true, and
+    # chart_dim=2.5 failed later inside random.randrange
+    with pytest.raises(TypeError):
+        GenConfig(**{"seed": 0, field: value})
+
+
 def test_unknown_suite_and_mutation():
     with pytest.raises(ValueError):
         run_suite("nope", SMALL)
@@ -220,3 +231,27 @@ def test_perturbed_failure_inputs_decode(suite):
         for key, doc in inputs.items():
             value = _input_decoder(failure["check"], key)(doc)
             assert to_doc(value) == doc
+
+
+_PREFIXES = ("form", "koszul", "gen")
+
+# every check each identity suite runs per trial, in order, with its input keys
+IDENTITY_RECORDS = {
+    "d_squared": [
+        ("form_d_squared", ["form"]),
+        ("koszul_d_squared", ["koszul"]),
+        ("gen_d_squared", ["generalized"]),
+    ],
+    "leibniz": [(f"{p}_leibniz", ["left", "right"]) for p in _PREFIXES],
+    "supercomm": [(f"{p}_supercomm", ["left", "right"]) for p in _PREFIXES]
+    + [(f"{p}_assoc", ["a", "b", "c"]) for p in _PREFIXES]
+    + [("tensor_sign_rule", ["a", "u", "b", "v"])],
+}
+
+
+@pytest.mark.parametrize("suite", IDENTITY_RECORDS)
+def test_identity_suites_keep_their_record_contract(suite):
+    report = run_suite(suite, GenConfig(seed=7, trials=3), mutation="perturb")
+    records = [(f["trial"], f["check"], list(f["inputs"])) for f in report.failures]
+    expected = IDENTITY_RECORDS[suite]
+    assert records == [(i, check, keys) for i in range(3) for check, keys in expected]
