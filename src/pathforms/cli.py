@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .forms import Chart, OrdinaryForm
@@ -114,14 +115,7 @@ def _cmd_ev(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    cfg = GenConfig(
-        seed=args.seed,
-        chart_dim=args.chart_dim,
-        plot_dim=args.plot_dim,
-        poly_deg=args.poly_deg,
-        koszul_n=args.koszul_n,
-        trials=args.trials,
-    )
+    cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
     if args.suite == "all":
         reports = run_all(cfg)
     else:
@@ -157,12 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = add("verify", _cmd_verify, "run property suites")
     cmd.add_argument("--suite", default="all", choices=("all",) + ALL_SUITES)
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--trials", type=int, default=100)
-    cmd.add_argument("--chart-dim", type=int, default=3)
-    cmd.add_argument("--plot-dim", type=int, default=2)
-    cmd.add_argument("--poly-deg", type=int, default=3)
-    cmd.add_argument("--koszul-n", type=int, default=3)
+    for field in fields(GenConfig):
+        flag = "--" + field.name.replace("_", "-")
+        cmd.add_argument(flag, type=int, default=field.default)
 
     return parser
 

@@ -131,6 +131,28 @@ class PathFormExpr:
 
     __slots__ = ()
 
+    def __post_init__(self):
+        """Check each field against its annotation name, the names
+        serialize.from_doc decodes by; a tuple field is stored as a tuple."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                _check_endpoint(value)
+            elif field.type == "Fraction":
+                object.__setattr__(self, field.name, as_fraction(value))
+            else:
+                items = (value,)
+                if field.type == "tuple[PathFormExpr, ...]":
+                    items = tuple(value)
+                    object.__setattr__(self, field.name, items)
+                kind = OrdinaryForm if field.type == "OrdinaryForm" else PathFormExpr
+                for item in items:
+                    if not isinstance(item, kind):
+                        raise TypeError(
+                            f"{type(self).__name__}.{field.name} takes "
+                            f"{kind.__name__} values, got {item!r}"
+                        )
+
     def forms(self) -> Iterator[OrdinaryForm]:
         """Every OrdinaryForm field, in field order, recursing into the
         subexpression fields."""
@@ -151,9 +173,6 @@ class EvPull(PathFormExpr):
 
     endpoint: int
     form: OrdinaryForm
-
-    def __post_init__(self):
-        _check_endpoint(self.endpoint)
 
 
 @dataclass(frozen=True)
@@ -184,9 +203,6 @@ class Sum(PathFormExpr):
 
     children: tuple[PathFormExpr, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
 
 @dataclass(frozen=True)
 class Scale(PathFormExpr):
@@ -194,9 +210,6 @@ class Scale(PathFormExpr):
 
     coeff: Fraction
     child: PathFormExpr
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", as_fraction(self.coeff))
 
 
 def zero_expr() -> PathFormExpr:

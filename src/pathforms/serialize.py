@@ -85,24 +85,19 @@ def frac_from_str(text: Any) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {e}") from e
 
 
-def _expect_list(doc: Any, what: str) -> list:
-    if not isinstance(doc, list):
-        raise ParseError(f"expected a list for {what}, got {type(doc).__name__}")
+def _expect(doc: Any, kind: type, what: str) -> Any:
+    """doc, if it is an instance of kind; a bool does not count as an int."""
+    if not isinstance(doc, kind) or (kind is int and isinstance(doc, bool)):
+        got = type(doc).__name__
+        raise ParseError(f"expected {kind.__name__} for {what}, got {got}")
     return doc
 
 
-def _expect_object(doc: Any, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParseError(f"expected an object for {what}, got {type(doc).__name__}")
+def _count(doc: Any, what: str) -> int:
+    """doc, if it is a nonnegative integer."""
+    if _expect(doc, int, what) < 0:
+        raise ParseError(f"expected a nonnegative {what}, got {doc}")
     return doc
-
-
-def _expect_indices(doc: Any, what: str) -> tuple[int, ...]:
-    items = _expect_list(doc, what)
-    for i in items:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise ParseError(f"expected integer indices for {what}, got {i!r}")
-    return tuple(items)
 
 
 def _entries(
@@ -117,9 +112,10 @@ def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
     """A list of {key: [ints], value: ...} objects as a dict from index
     tuples to parsed values; a repeated index tuple is an error."""
     out: dict[tuple[int, ...], Any] = {}
-    for item in _expect_list(doc, what):
-        obj = _expect_object(item, f"an entry of {what}")
-        indices = _expect_indices(obj.get(key), f"{what} {key}")
+    for item in _expect(doc, list, what):
+        obj = _expect(item, dict, f"an entry of {what}")
+        items = _expect(obj.get(key), list, f"{what} {key}")
+        indices = tuple(_expect(i, int, f"{what} {key}") for i in items)
         if indices in out:
             raise ParseError(f"duplicate {key} {list(indices)} in {what}")
         out[indices] = parse(obj.get(value))
@@ -146,11 +142,8 @@ def chart_to_doc(chart: Chart) -> list:
 
 
 def chart_from_doc(doc: Any) -> Chart:
-    names = _expect_list(doc, "a chart")
-    for name in names:
-        if not isinstance(name, str):
-            raise ParseError(f"expected coordinate names, got {name!r}")
-    return _construct(Chart, tuple(names))
+    names = _expect(doc, list, "a chart")
+    return _construct(Chart, tuple(_expect(n, str, "a coordinate name") for n in names))
 
 
 def form_to_doc(form: OrdinaryForm) -> dict:
@@ -161,7 +154,7 @@ def form_to_doc(form: OrdinaryForm) -> dict:
 
 
 def form_from_doc(doc: Any) -> OrdinaryForm:
-    obj = _expect_object(doc, "a form")
+    obj = _expect(doc, dict, "a form")
     chart = chart_from_doc(obj.get("chart"))
     components = _keyed(
         obj.get("components"),
@@ -181,11 +174,9 @@ def koszul_params_to_doc(params: KoszulParams) -> dict:
 
 
 def koszul_params_from_doc(doc: Any) -> KoszulParams:
-    obj = _expect_object(doc, "Koszul parameters")
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ParseError(f"expected a generator count, got {n!r}")
-    constants = [frac_from_str(c) for c in _expect_list(obj.get("k"), "constants")]
+    obj = _expect(doc, dict, "Koszul parameters")
+    n = _count(obj.get("n"), "generator count")
+    constants = [frac_from_str(c) for c in _expect(obj.get("k"), list, "constants")]
     if len(constants) != n:
         raise ParseError(f"expected {n} constants, got {len(constants)}")
     return KoszulParams(tuple(constants))
@@ -198,7 +189,7 @@ def koszul_to_doc(element: KoszulElement) -> dict:
 
 
 def koszul_from_doc(doc: Any) -> KoszulElement:
-    obj = _expect_object(doc, "a Koszul element")
+    obj = _expect(doc, dict, "a Koszul element")
     params = koszul_params_from_doc(obj)
     terms = _keyed(obj.get("terms"), "zetas", "coeff", frac_from_str, "Koszul terms")
     return _construct(KoszulElement, params, terms)
@@ -216,7 +207,7 @@ def gen_to_doc(value: GeneralizedForm) -> dict:
 
 
 def gen_from_doc(doc: Any) -> GeneralizedForm:
-    obj = _expect_object(doc, "a generalized form")
+    obj = _expect(doc, dict, "a generalized form")
     chart = chart_from_doc(obj.get("chart"))
     params = koszul_params_from_doc(obj.get("koszul"))
     components = _keyed(
@@ -247,12 +238,9 @@ def plot_to_doc(plot: Plot) -> dict:
 def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
     """Parse a plot, inventing coordinate names (t, u1..um, x1..xN)
     unless a target chart of the declared dimension is supplied."""
-    obj = _expect_object(doc, "a plot")
-    m = obj.get("m")
-    target_dim = obj.get("target_dim")
-    for label, value in (("m", m), ("target_dim", target_dim)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ParseError(f"expected a dimension for {label!r}, got {value!r}")
+    obj = _expect(doc, dict, "a plot")
+    m = _count(obj.get("m"), "dimension m")
+    target_dim = _count(obj.get("target_dim"), "dimension target_dim")
     if target is None:
         target = default_target_chart(target_dim)
     elif target.dim != target_dim:
@@ -263,7 +251,7 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
     cylinder = (Plot.time,) + domain.coordinates
     components = tuple(
         poly_from_doc(item, cylinder)
-        for item in _expect_list(obj.get("components"), "plot components")
+        for item in _expect(obj.get("components"), list, "plot components")
     )
     return _construct(Plot, target, domain, components)
 
@@ -304,15 +292,13 @@ def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
     if type_name == "PathFormExpr":
         return expr_from_doc(doc)
     if type_name == "tuple[PathFormExpr, ...]":
-        return tuple(expr_from_doc(item) for item in _expect_list(doc, "expressions"))
+        return tuple(expr_from_doc(item) for item in _expect(doc, list, "expressions"))
     if type_name == "Plot":
         return plot_from_doc(doc, chart)
     if type_name == "Fraction":
         return frac_from_str(doc)
     if type_name == "int":
-        if not isinstance(doc, int) or isinstance(doc, bool):
-            raise ParseError(f"expected an integer, got {doc!r}")
-        return doc
+        return _expect(doc, int, "an integer field")
     raise TypeError(f"no decoder for type {type_name!r}")
 
 
@@ -336,7 +322,7 @@ def expr_to_doc(expr: PathFormExpr) -> dict:
 
 def expr_from_doc(doc: Any) -> PathFormExpr:
     try:
-        obj = _expect_object(doc, "an expression")
+        obj = _expect(doc, dict, "an expression")
         node = obj.get("node")
         cls = _NODES.get(node) if isinstance(node, str) else None
         if cls is None:

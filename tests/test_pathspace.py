@@ -92,6 +92,11 @@ def test_decompose_reconstruction_with_sign():
     assert dx(chart, 1).wedge(wdot) + wbar == form
 
 
+def test_decompose_needs_the_time_coordinate():
+    with pytest.raises(MismatchError):
+        decompose(dx(Chart(("x1",)), 0), "t")
+
+
 def test_chen_of_dx_is_u():
     assert chen_integral(dx(X1, 0), line_plot()) == OrdinaryForm.from_poly(
         U1, U1.var(0)
@@ -314,6 +319,25 @@ def test_degree_bounds_under_evaluation():
     assert eval_pathform(EvPull(1, w), curve_plot()).is_zero
     alpha = pair_encode(w, OrdinaryForm.zero(X2), 1)
     assert eval_pathform(map_I(alpha), curve_plot()).is_zero
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Sum((1, 2)),
+        lambda: Wedge(1, 2),
+        lambda: Chen(5),
+        lambda: Diff("a"),
+        lambda: Scale(1, 3),
+        lambda: EvPull(0, 7),
+    ],
+    ids=["Sum", "Wedge", "Chen", "Diff", "Scale", "EvPull"],
+)
+def test_expression_fields_are_checked_by_type(build):
+    # these used to build and hash, then serialize as documents that
+    # from_doc refuses
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_expression_nodes_are_hashable():

@@ -69,6 +69,14 @@ def test_compose_empty_source_needs_target():
     assert c.compose({}, variables=XY) == Poly.const(XY, 4)
 
 
+def test_compose_refuses_mixed_or_missing_target_variables():
+    q = p({(1, 1): 1})
+    with pytest.raises(MismatchError):
+        q.compose({"x": Poly.var(XY, "x"), "y": Poly.var(("t",), "t")})
+    with pytest.raises(MismatchError):
+        Poly((), {(): 4}).compose({})
+
+
 def test_defint01():
     tu = ("t", "u")
     assert Poly(tu, {(2, 0): 1}).defint01("t") == Poly.const(tu, Fraction(1, 3))

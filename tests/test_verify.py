@@ -19,6 +19,7 @@ from pathforms.serialize import (
 )
 from pathforms.verify import (
     ALL_SUITES,
+    COEFF_BOUND,
     GenConfig,
     gen_random,
     run_all,
@@ -168,13 +169,13 @@ def test_gen_random_degree_control():
 
 
 def test_generated_instances_respect_bounds():
-    cfg = GenConfig(seed=9, chart_dim=3, poly_deg=3, coeff_bound=4, trials=20)
+    cfg = GenConfig(seed=9, chart_dim=3, poly_deg=3, trials=20)
     for i in range(20):
         poly = gen_random("poly", cfg, index=i)
         assert isinstance(poly, Poly)
         assert poly.total_degree() <= cfg.poly_deg
         assert all(
-            abs(c.numerator) <= cfg.coeff_bound and c.denominator <= cfg.coeff_bound
+            abs(c.numerator) <= COEFF_BOUND and c.denominator <= COEFF_BOUND
             for c in poly.terms.values()
         )
         plot = gen_random("plot", cfg, index=i)
