@@ -115,7 +115,11 @@ def _cmd_ev(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
+    try:
+        cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
+    except ValueError as e:
+        # a flag value out of range is a usage error, like a malformed one
+        raise ParseError(str(e)) from e
     if args.suite == "all":
         reports = run_all(cfg)
     else:

@@ -7,10 +7,12 @@ bit-for-bit from its config (elapsed time aside) regardless of
 execution order, and every failure carries its inputs for replay,
 serialized in the JSON interchange format only when its check fails.
 
-Suites accept an optional `mutation` that deliberately breaks the
-checked identity in a known way.  Mutations exist so the failure
-machinery itself is testable: a suite that cannot flag a planted bug
-proves nothing when it passes.
+A suite is a generator of checks: per trial it yields (check name,
+value that must be zero, inputs).  `run_suite` alone decides whether a
+check failed and records it.  Every suite accepts the `perturb` mutation
+and some accept their own; a mutation deliberately breaks the checked
+identity in a known way, so the failure machinery itself is testable: a
+suite that cannot flag a planted bug proves nothing when it passes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -78,13 +80,7 @@ class SuiteReport:
         return not self.failures
 
     def to_doc(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "elapsed": self.elapsed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _rng(cfg: GenConfig, label: str, index: int) -> random.Random:
@@ -120,6 +116,22 @@ def rand_poly(rng: random.Random, variables: tuple[str, ...], cfg: GenConfig) ->
     return Poly(variables, terms)
 
 
+def _rand_monomials(rng: random.Random, n: int, size: int, coeff: Callable) -> dict:
+    """One or two random `size`-subsets of range(n), each drawn before its
+    coefficient; none when no subset has that size."""
+    if not 0 <= size <= n:
+        return {}
+    return {
+        tuple(sorted(rng.sample(range(n), size))): coeff()
+        for _ in range(rng.randint(1, 2))
+    }
+
+
+def _sum_of_draws(rng: random.Random, zero, draw: Callable):
+    """The sum of one or two draws, an inhomogeneous element in general."""
+    return sum((draw() for _ in range(rng.randint(1, 2))), zero)
+
+
 def rand_form(
     rng: random.Random, chart: Chart, cfg: GenConfig, degree: Optional[int] = None
 ) -> OrdinaryForm:
@@ -127,20 +139,13 @@ def rand_form(
     [0, dim], since those graded slots hold nothing else."""
     if degree is None:
         degree = rng.randint(0, chart.dim)
-    if degree < 0 or degree > chart.dim:
-        return OrdinaryForm.zero(chart)
-    components: dict[tuple[int, ...], Poly] = {}
-    for _ in range(rng.randint(1, 2)):
-        indices = tuple(sorted(rng.sample(range(chart.dim), degree)))
-        components[indices] = rand_poly(rng, chart.coordinates, cfg)
-    return OrdinaryForm(chart, components)
+    coeff = lambda: rand_poly(rng, chart.coordinates, cfg)
+    return OrdinaryForm(chart, _rand_monomials(rng, chart.dim, degree, coeff))
 
 
 def rand_form_mixed(rng: random.Random, chart: Chart, cfg: GenConfig) -> OrdinaryForm:
-    out = OrdinaryForm.zero(chart)
-    for _ in range(rng.randint(1, 2)):
-        out = out + rand_form(rng, chart, cfg)
-    return out
+    zero = OrdinaryForm.zero(chart)
+    return _sum_of_draws(rng, zero, lambda: rand_form(rng, chart, cfg))
 
 
 def rand_koszul_params(
@@ -160,23 +165,15 @@ def rand_koszul(
     """A random homogeneous element of degree -s; zero outside [-n, 0]."""
     if degree is None:
         degree = -rng.randint(0, params.n)
-    size = -degree
-    if size < 0 or size > params.n:
-        return KoszulElement.zero(params)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, 2)):
-        indices = tuple(sorted(rng.sample(range(params.n), size)))
-        terms[indices] = rand_fraction(rng)
+    terms = _rand_monomials(rng, params.n, -degree, lambda: rand_fraction(rng))
     return KoszulElement(params, terms)
 
 
 def rand_koszul_mixed(
     rng: random.Random, params: KoszulParams, cfg: GenConfig
 ) -> KoszulElement:
-    out = KoszulElement.zero(params)
-    for _ in range(rng.randint(1, 2)):
-        out = out + rand_koszul(rng, params, cfg)
-    return out
+    zero = KoszulElement.zero(params)
+    return _sum_of_draws(rng, zero, lambda: rand_koszul(rng, params, cfg))
 
 
 def rand_genform(
@@ -204,10 +201,8 @@ def rand_genform(
 def rand_genform_mixed(
     rng: random.Random, chart: Chart, params: KoszulParams, cfg: GenConfig
 ) -> GeneralizedForm:
-    out = GeneralizedForm.zero(chart, params)
-    for _ in range(rng.randint(1, 2)):
-        out = out + rand_genform(rng, chart, params, cfg)
-    return out
+    zero = GeneralizedForm.zero(chart, params)
+    return _sum_of_draws(rng, zero, lambda: rand_genform(rng, chart, params, cfg))
 
 
 def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:
@@ -234,24 +229,7 @@ def gen_random(kind: str, cfg: GenConfig, index: int = 0, degree: Optional[int] 
     raise ValueError(f"unknown kind {kind!r}")
 
 
-# -- suite plumbing -----------------------------------------------------------
-
-
-class _Trial:
-    """Collects failed checks of one trial, serializing inputs only on failure."""
-
-    def __init__(self, index: int, mutation: Optional[str]):
-        self.index = index
-        self.mutation = mutation
-        self.failures: list[dict] = []
-
-    def check_zero(self, name: str, delta, /, **inputs) -> None:
-        """Assert delta == 0; the perturb mutation adds delta's unit."""
-        if self.mutation == "perturb":
-            delta = delta + delta.unit()
-        if not delta.is_zero:
-            inputs = {key: to_doc(value) for key, value in inputs.items()}
-            self.failures.append({"trial": self.index, "check": name, "inputs": inputs})
+# -- suites --------------------------------------------------------------------
 
 
 def _algebras(
@@ -275,37 +253,33 @@ def _algebras(
     )
 
 
-# -- suites --------------------------------------------------------------------
-#
-# Each suite is a per-trial check: it gets the trial that collects its
-# failures, the trial's case and the config.  The three identity suites
-# draw the chart and the Koszul parameters, then loop over the table above.
+# Each random suite is a generator over one trial: it gets the trial's
+# rng, the chart run_suite drew from it, the config and the mutation, and
+# yields (check name, value that must be zero, inputs).  The three identity
+# suites draw the Koszul parameters, then loop over the table above.
 
 
-def _d_squared(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+def _d_squared(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     params = rand_koszul_params(rng, cfg)
     for prefix, key, _, _, _, mixed in _algebras(rng, chart, params, cfg):
         x = mixed()
-        trial.check_zero(f"{prefix}_d_squared", x.d().d(), **{key: x})
+        yield f"{prefix}_d_squared", x.d().d(), {key: x}
 
 
-def _leibniz(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+def _leibniz(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     """d(ab) == (da)b + (-1)^p a(db) in each algebra."""
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     params = rand_koszul_params(rng, cfg)
     for prefix, _, times, span, element, _ in _algebras(rng, chart, params, cfg):
         p, q = rng.randint(*span), rng.randint(*span)
         a, b = element(p), element(q)
         term = times(a, b.d())
         rhs = times(a.d(), b) + (term if p % 2 == 0 else -term)
-        trial.check_zero(f"{prefix}_leibniz", times(a, b).d() - rhs, left=a, right=b)
+        yield f"{prefix}_leibniz", times(a, b).d() - rhs, dict(left=a, right=b)
 
 
-def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
+def _supercomm(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     """ab == (-1)^pq ba on homogeneous pairs and (ab)c == a(bc) on
     inhomogeneous triples in each algebra, then the tensor sign rule."""
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
     params = rand_koszul_params(rng, cfg)
     algebras = _algebras(rng, chart, params, cfg)
     for prefix, _, times, span, element, _ in algebras:
@@ -313,11 +287,11 @@ def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
         a, b = element(p), element(q)
         flipped = times(b, a)
         delta = times(a, b) - (flipped if (p * q) % 2 == 0 else -flipped)
-        trial.check_zero(f"{prefix}_supercomm", delta, left=a, right=b)
+        yield f"{prefix}_supercomm", delta, dict(left=a, right=b)
     for prefix, _, times, _, _, mixed in algebras:
         a, b, c = mixed(), mixed(), mixed()
         delta = times(times(a, b), c) - times(a, times(b, c))
-        trial.check_zero(f"{prefix}_assoc", delta, a=a, b=b, c=c)
+        yield f"{prefix}_assoc", delta, dict(a=a, b=b, c=c)
 
     # tensor sign rule: (a x u)(b x v) = (-1)^{|u| deg b} (a ^ b) x (uv)
     ts = rng.randint(0, params.n)
@@ -336,11 +310,10 @@ def _supercomm(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
     if (ts * tq) % 2:
         expected = -expected
     delta = tensor(ta, tu).wedge(tensor(tb, tv)) - expected
-    trial.check_zero("tensor_sign_rule", delta, a=ta, u=tu, b=tb, v=tv)
+    yield "tensor_sign_rule", delta, dict(a=ta, u=tu, b=tb, v=tv)
 
 
-def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+def _pair_equivalence(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     k = rand_fraction(rng, nonzero=True)
 
     p = rng.randint(-1, chart.dim)
@@ -354,86 +327,80 @@ def _pair_equivalence(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None
 
     # product: (a_p b_q, a_p b_{q+1} + (-1)^q a_{p+1} b_q)
     sign_q = 1 if q % 2 == 0 else -1
-    if trial.mutation == "wedge_sign":
+    if mutation == "wedge_sign":
         sign_q = -sign_q
     cross = a_next.wedge(b_q)
     second = a_p.wedge(b_next) + (cross if sign_q > 0 else -cross)
     formula = pair_encode(a_p.wedge(b_q), second, k)
-    delta = enc_a.wedge(enc_b) - formula
-    trial.check_zero("pair_wedge", delta, left=enc_a, right=enc_b)
+    yield "pair_wedge", enc_a.wedge(enc_b) - formula, dict(left=enc_a, right=enc_b)
 
     # differential: (d a_p + (-1)^{p+1} k a_{p+1}, d a_next)
     sign_p = 1 if (p + 1) % 2 == 0 else -1
     kterm = a_next.scale(sign_p * k)
-    if trial.mutation == "drop_k":
+    if mutation == "drop_k":
         kterm = OrdinaryForm.zero(chart)
     dformula = pair_encode(a_p.d() + kterm, a_next.d(), k)
-    trial.check_zero("pair_d", enc_a.d() - dformula, left=enc_a)
+    yield "pair_d", enc_a.d() - dformula, dict(left=enc_a)
 
 
-def _chain_homotopy(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+def _chain_homotopy(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     form = rand_form(rng, chart, cfg)
     plot = rand_plot(rng, chart, cfg)
     lhs = chen_integral(form.d(), plot) + chen_integral(form, plot).d()
     rhs = ev_pullback(1, form, plot) - ev_pullback(0, form, plot)
-    trial.check_zero("chain_homotopy", lhs - rhs, form=form, plot=plot)
+    yield "chain_homotopy", lhs - rhs, dict(form=form, plot=plot)
 
 
-def _dI_commute(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+def _dI_commute(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
     alpha = rand_genform_mixed(rng, chart, params, cfg)
     plot = rand_plot(rng, chart, cfg)
     lhs = eval_pathform(map_I(alpha.d()), plot)
     rhs = eval_pathform(map_I(alpha), plot).d()
-    trial.check_zero("dI_commute", lhs - rhs, generalized=alpha, plot=plot)
+    yield "dI_commute", lhs - rhs, dict(generalized=alpha, plot=plot)
 
 
-def _kernel(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+def _kernel(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     k = rand_fraction(rng, nonzero=True)
     f = OrdinaryForm.from_poly(chart, rand_poly(rng, chart.coordinates, cfg))
     g = OrdinaryForm.from_poly(chart, rand_poly(rng, chart.coordinates, cfg))
     zero = OrdinaryForm.zero(chart)
     element = pair_encode(zero, g, k) + pair_encode(zero, f, k).d()
-    if trial.mutation == "perturb_element":
+    if mutation == "perturb_element":
         element = pair_encode(f, f.d().scale(2 / k), k)
     plot = rand_plot(rng, chart, cfg)
     value = eval_pathform(map_I(element), plot)
-    trial.check_zero("kernel", value, element=element, plot=plot)
+    yield "kernel", value, dict(element=element, plot=plot)
 
 
-def _wedge_prime(trial: _Trial, rng: random.Random, cfg: GenConfig) -> None:
-    chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+def _wedge_prime(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
     p = rng.randint(1, chart.dim)
     q = rng.randint(1, chart.dim)
     a = rand_genform(rng, chart, params, cfg, degree=p)
     b = rand_genform(rng, chart, params, cfg, degree=q)
     plot = rand_plot(rng, chart, cfg)
-    inputs = {"left": a, "right": b, "plot": plot}
+    inputs = dict(left=a, right=b, plot=plot)
 
     product = eval_pathform(wedge_prime(a, b), plot)
     explicit = eval_pathform(wedge_prime_explicit(a, b), plot)
-    trial.check_zero("wedge_prime_explicit", product - explicit, **inputs)
+    yield "wedge_prime_explicit", product - explicit, inputs
 
     flipped = eval_pathform(wedge_prime(b, a), plot)
     delta = product - (flipped if (p * q) % 2 == 0 else -flipped)
-    trial.check_zero("wedge_prime_supercomm", delta, **inputs)
+    yield "wedge_prime_supercomm", delta, inputs
 
     left = eval_pathform(wedge_prime(a.d(), b), plot)
     right = eval_pathform(wedge_prime(a, b.d()), plot)
     rhs = left + (right if p % 2 == 0 else -right)
-    trial.check_zero("wedge_prime_leibniz", product.d() - rhs, **inputs)
+    yield "wedge_prime_leibniz", product.d() - rhs, inputs
 
 
-def _injectivity_witness(trial: _Trial, witness: Witness, cfg: GenConfig) -> None:
+def _injectivity_witness(witness: Witness, cfg: GenConfig, mutation):
     """map_I(alpha) evaluates to the witness's expected value, which is
     nonzero, so matching it shows alpha is not in the kernel."""
-    trial.check_zero(
-        "injectivity_witness",
-        eval_pathform(map_I(witness.alpha), witness.plot) - witness.expected,
+    value = eval_pathform(map_I(witness.alpha), witness.plot) - witness.expected
+    yield "injectivity_witness", value, dict(
         witness=witness.label,
         alpha=witness.alpha,
         plot=witness.plot,
@@ -441,42 +408,54 @@ def _injectivity_witness(trial: _Trial, witness: Witness, cfg: GenConfig) -> Non
     )
 
 
-# name -> (allowed mutations, per-trial check, fixed cases).  A suite with
+# the mutation every suite accepts: each check's value gains its unit
+_PERTURB = "perturb"
+
+# name -> (mutations besides _PERTURB, suite, fixed cases).  A suite with
 # fixed cases runs one trial per case; any other runs cfg.trials trials,
-# whose cases are random sources labelled by the suite name and trial index.
+# each with an rng labelled by the suite name and trial index.
 _SUITES: dict[str, tuple[tuple[str, ...], Callable, Optional[Callable]]] = {
-    "d_squared": (("perturb",), _d_squared, None),
-    "leibniz": (("perturb",), _leibniz, None),
-    "supercomm": (("perturb",), _supercomm, None),
-    "pair_equivalence": (("perturb", "wedge_sign", "drop_k"), _pair_equivalence, None),
-    "chain_homotopy": (("perturb",), _chain_homotopy, None),
-    "dI_commute": (("perturb",), _dI_commute, None),
-    "kernel": (("perturb", "perturb_element"), _kernel, None),
-    "wedge_prime": (("perturb",), _wedge_prime, None),
-    "injectivity_witness": (("perturb",), _injectivity_witness, injectivity_witnesses),
+    "d_squared": ((), _d_squared, None),
+    "leibniz": ((), _leibniz, None),
+    "supercomm": ((), _supercomm, None),
+    "pair_equivalence": (("wedge_sign", "drop_k"), _pair_equivalence, None),
+    "chain_homotopy": ((), _chain_homotopy, None),
+    "dI_commute": ((), _dI_commute, None),
+    "kernel": (("perturb_element",), _kernel, None),
+    "wedge_prime": ((), _wedge_prime, None),
+    "injectivity_witness": ((), _injectivity_witness, injectivity_witnesses),
 }
 
 ALL_SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: GenConfig, mutation: Optional[str] = None) -> SuiteReport:
+    """Run a suite's trials.  A check fails when its value is nonzero, after
+    the perturb mutation adds its unit; its failure record holds the
+    check's inputs as documents."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {ALL_SUITES}")
-    allowed, check, fixed = _SUITES[name]
+    extra, suite, fixed = _SUITES[name]
+    allowed = (_PERTURB,) + extra
     if mutation is not None and mutation not in allowed:
         raise ValueError(f"unknown mutation {mutation!r}; expected one of {allowed}")
     start = time.perf_counter()
-    if fixed is None:
-        trials = cfg.trials
-        cases = (_rng(cfg, name, i) for i in range(trials))
-    else:
-        cases = fixed()
-        trials = len(cases)
+    cases = fixed() if fixed is not None else None
+    trials = cfg.trials if cases is None else len(cases)
     failures: list[dict] = []
-    for i, case in enumerate(cases):
-        trial = _Trial(i, mutation)
-        check(trial, case, cfg)
-        failures.extend(trial.failures)
+    for i in range(trials):
+        if cases is None:
+            rng = _rng(cfg, name, i)
+            chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+            checks = suite(rng, chart, cfg, mutation)
+        else:
+            checks = suite(cases[i], cfg, mutation)
+        for check, value, inputs in checks:
+            if mutation == _PERTURB:
+                value = value + value.unit()
+            if not value.is_zero:
+                inputs = {key: to_doc(item) for key, item in inputs.items()}
+                failures.append({"trial": i, "check": check, "inputs": inputs})
     elapsed = round(time.perf_counter() - start, 6)
     return SuiteReport(name, trials, failures, elapsed)
 

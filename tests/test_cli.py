@@ -254,6 +254,23 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert doc["reports"][0]["failures"]
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--chart-dim", "0", "chart_dim must be positive"),
+        ("--plot-dim", "0", "plot_dim must be positive"),
+        ("--poly-deg", "0", "poly_deg must be positive"),
+        ("--koszul-n", "0", "koszul_n must be positive"),
+        ("--trials", "-1", "trials must be nonnegative"),
+    ],
+)
+def test_verify_flag_out_of_range_exits_2(capsys, flag, value, message):
+    # a usage error, like `--trials x`; exit 3 means operands do not fit.
+    # the last of a repeated flag wins, so `--trials -1` overrides `1`
+    status, out, err = run(capsys, "verify", "--trials", "1", flag, value)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verbs_look_operations_up_at_call_time(tmp_path, capsys, monkeypatch):
     # a verb must call the name cli holds when it runs, as the benchmark's
     # tracer replaces those names after import

@@ -156,6 +156,21 @@ def test_dim_zero_chart():
     assert c.wedge(c) == OrdinaryForm.from_poly(pt, pt.const(9))
 
 
+def test_coefficients_and_components_must_live_on_the_chart():
+    y = Poly.var(("y",), "y")
+    with pytest.raises(MismatchError):
+        OrdinaryForm(R2, {(): y})
+    with pytest.raises(MismatchError):
+        PolyMap(R2, Chart(("y",)), (Poly.var(("z",), "z"),))
+
+
+def test_repr_lists_each_term_with_its_index_list():
+    x = Chart(("x",))
+    f = OrdinaryForm.from_poly(x, x.var(0))
+    assert repr(f + f.wedge(dx(x, 0))) == "OrdinaryForm((x) + (x)*dx[0])"
+    assert repr(OrdinaryForm.zero(x)) == "OrdinaryForm(0)"
+
+
 CFG = GenConfig(seed=11, trials=40)
 
 

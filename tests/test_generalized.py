@@ -180,3 +180,14 @@ def test_hash_agrees_with_equality():
     zeta = GeneralizedForm.zeta(R1, params, 0)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, zeta, -zeta, GeneralizedForm.zeta(R2, params, 0)}) == 4
+
+
+def test_zeta_with_a_repeated_index_is_zero():
+    params = KoszulParams((Fraction(1), Fraction(2)))
+    assert GeneralizedForm.zeta(R1, params, 0, 0).is_zero
+
+
+def test_repr_nests_the_form_coefficients():
+    params = KoszulParams((Fraction(1),))
+    zeta = GeneralizedForm.zeta(R1, params, 0)
+    assert repr(zeta) == "GeneralizedForm(OrdinaryForm((1))*z[0])"

@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from pathforms.forms import Chart, dx
 from pathforms.koszul import KoszulElement, KoszulParams
 from pathforms.polyring import MismatchError
-from pathforms.verify import GenConfig, _rng, rand_koszul_mixed, rand_koszul_params
+from pathforms.verify import (
+    GenConfig,
+    _rng,
+    rand_koszul,
+    rand_koszul_mixed,
+    rand_koszul_params,
+)
 
 K1 = KoszulParams((Fraction(5),))
 K2 = KoszulParams((Fraction(2), Fraction(3)))
@@ -109,6 +116,18 @@ def test_hash_agrees_with_equality():
     assert len({a, b, z(K2, 0), -z(K2, 0), z(K1, 0)}) == 4
 
 
+def test_repr_lists_each_term_with_its_index_list():
+    u = KoszulElement.scalar(K2, 1) + z(K2, 0, 1).scale(Fraction(-1, 2))
+    assert repr(u) == "KoszulElement((1) + (-1/2)*z[0, 1])"
+
+
+def test_forms_and_koszul_elements_do_not_mix():
+    line = Chart(("x",))
+    assert dx(line, 0) != KoszulElement.generator(K2, 0)
+    with pytest.raises(MismatchError):
+        dx(line, 0) + KoszulElement.generator(K2, 0)
+
+
 CFG = GenConfig(seed=5, trials=60)
 
 
@@ -124,3 +143,11 @@ def test_random_d_squared_and_leibniz():
         v = rand_koszul_mixed(rng, params, CFG)
         sign = 1 if s % 2 == 0 else -1
         assert h.mul(v).d() == h.d().mul(v) + h.mul(v.d()).scale(sign)
+
+
+@pytest.mark.parametrize("degree", [1, -(K2.n + 1)])
+def test_random_element_outside_the_degree_range_is_zero(degree):
+    # a degree with no monomials draws nothing
+    rng = _rng(CFG, "outside", 0)
+    assert rand_koszul(rng, K2, CFG, degree=degree).is_zero
+    assert rng.random() == _rng(CFG, "outside", 0).random()

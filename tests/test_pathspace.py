@@ -278,6 +278,16 @@ def test_wedge_prime_rejects_low_degree_and_zero_k():
     with pytest.raises(ValueError):
         wedge_prime(k0, k0)
 
+    n2 = KoszulParams((Fraction(1), Fraction(2)))
+    two = GeneralizedForm.from_form(dx(X1, 0), n2)
+    with pytest.raises(ValueError, match="requires n=1"):
+        wedge_prime(two, two)
+
+
+def test_eval_rejects_a_non_expression():
+    with pytest.raises(TypeError):
+        eval_pathform(42, line_plot())
+
 
 def test_plot_validation():
     cyl = ("t", "u1")

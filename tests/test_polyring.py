@@ -206,6 +206,19 @@ def test_canonical_form():
     assert p({(1, 0): 1, (0, 0): 0}).terms == {(1, 0): Fraction(1)}
 
 
+def test_variables_must_be_distinct_and_known():
+    with pytest.raises(ValueError):
+        Poly(("x", "x"))
+    with pytest.raises(MismatchError):
+        Poly.var(("x",), "y")
+
+
+def test_scalars_on_either_side():
+    x = Poly.var(("x",), "x")
+    assert (x == 3) is False
+    assert (3 - x).terms == {(0,): 3, (1,): -1}
+
+
 coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=4
 )

@@ -1,6 +1,8 @@
 """The property suites: they pass honestly, reproduce bit-for-bit from
 their config, and catch planted bugs."""
 
+import hashlib
+
 import pytest
 
 import pathforms.serialize
@@ -10,6 +12,7 @@ from pathforms.generalized import GeneralizedForm
 from pathforms.pathspace import Plot
 from pathforms.polyring import Poly
 from pathforms.serialize import (
+    dumps,
     form_from_doc,
     gen_from_doc,
     gen_to_doc,
@@ -236,8 +239,8 @@ def test_perturbed_failure_inputs_decode(suite):
 
 _PREFIXES = ("form", "koszul", "gen")
 
-# every check each identity suite runs per trial, in order, with its input keys
-IDENTITY_RECORDS = {
+# every check each suite runs per trial, in order, with its input keys
+SUITE_RECORDS = {
     "d_squared": [
         ("form_d_squared", ["form"]),
         ("koszul_d_squared", ["koszul"]),
@@ -247,12 +250,47 @@ IDENTITY_RECORDS = {
     "supercomm": [(f"{p}_supercomm", ["left", "right"]) for p in _PREFIXES]
     + [(f"{p}_assoc", ["a", "b", "c"]) for p in _PREFIXES]
     + [("tensor_sign_rule", ["a", "u", "b", "v"])],
+    "pair_equivalence": [("pair_wedge", ["left", "right"]), ("pair_d", ["left"])],
+    "chain_homotopy": [("chain_homotopy", ["form", "plot"])],
+    "dI_commute": [("dI_commute", ["generalized", "plot"])],
+    "kernel": [("kernel", ["element", "plot"])],
+    "wedge_prime": [
+        (f"wedge_prime_{name}", ["left", "right", "plot"])
+        for name in ("explicit", "supercomm", "leibniz")
+    ],
+    "injectivity_witness": [
+        ("injectivity_witness", ["witness", "alpha", "plot", "expected"])
+    ],
 }
 
 
-@pytest.mark.parametrize("suite", IDENTITY_RECORDS)
+@pytest.mark.parametrize("suite", SUITE_RECORDS)
 def test_identity_suites_keep_their_record_contract(suite):
     report = run_suite(suite, GenConfig(seed=7, trials=3), mutation="perturb")
     records = [(f["trial"], f["check"], list(f["inputs"])) for f in report.failures]
-    expected = IDENTITY_RECORDS[suite]
+    expected = SUITE_RECORDS[suite]
+    # three trials each; the witness suite's are its three fixed witnesses
     assert records == [(i, check, keys) for i in range(3) for check, keys in expected]
+
+
+# each suite's mutations besides "perturb", which every suite accepts
+SUITE_MUTATIONS = {
+    "pair_equivalence": ("wedge_sign", "drop_k"),
+    "kernel": ("perturb_element",),
+}
+
+
+def test_suite_reports_match_their_golden_digests(golden_check):
+    # one digest per (suite, mutation) over seeds 0-2, so a change in any
+    # rng draw, check or failure record shows up as a changed digest
+    digests = {}
+    for suite in ALL_SUITES:
+        for mutation in (None, "perturb") + SUITE_MUTATIONS.get(suite, ()):
+            docs = []
+            for seed in range(3):
+                doc = run_suite(suite, GenConfig(seed=seed, trials=5), mutation).to_doc()
+                docs.append({**doc, "elapsed": 0.0})
+            digest = hashlib.sha256(dumps(docs).encode()).hexdigest()
+            digests[f"{suite}/{mutation}"] = digest
+    assert len(digests) == 21
+    golden_check("suite_digests", dumps(digests))
