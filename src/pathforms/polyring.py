@@ -8,12 +8,24 @@ Fraction coefficients::
 
 That mapping, `terms`, is a read-only view.  Inside, a Poly keeps integer
 numerators over one positive common denominator, reduced so that the
-denominator and all numerators share no factor::
+denominator and all numerators share no factor, and keys each numerator
+by its exponent vector packed into one non-negative int::
 
-    {(2, 1): 5} over 2
+    {2 << 64 | 1: 5} over 2
 
-Arithmetic works on those integers and never normalises a Fraction per
-term product; the Fraction view is built once, when first read.
+Each exponent has a field of `_W` = 64 bits; variable 0 sits in the most
+significant field and the last variable in the least, so the constant
+monomial is 0.  Exponents are at most MAX_EXPONENT = 2**63 - 1, which
+leaves each field's top bit clear: the sum of two legal fields fits in
+its field, so adding two keys adds their exponent vectors with no carry,
+and a product whose exponent passes MAX_EXPONENT shows as a field's top
+bit and raises ValueError.  Comparing two keys compares their first
+differing field, which is the lexicographic order of the exponent
+tuples, so keys sort exactly as the tuples do.
+
+Arithmetic works on those integers: a term product is one int add and
+one int multiply, and no Fraction is normalised per term product; the
+tuple-keyed Fraction view is built once, when first read.
 
 The zero polynomial has no terms.  Constructors strip zero coefficients
 and sort exponent keys, so two polynomials over the same variable list
@@ -29,8 +41,9 @@ silent unification is how pullback bugs hide.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -38,6 +51,24 @@ from typing import Iterable, Mapping, Union
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
+
+#: Bits per exponent field of a packed monomial key.
+_W = 64
+_MASK = (1 << _W) - 1
+
+#: The largest exponent a Poly holds: each field's top bit stays clear.
+MAX_EXPONENT = 2 ** (_W - 1) - 1
+
+
+def _unpack(key: int, count: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key over `count` variables."""
+    return tuple([key >> s & _MASK for s in range(_W * (count - 1), -1, -_W)])
+
+
+def _guard(count: int) -> int:
+    """The top bit of each of `count` fields, which is set in a key only
+    when one of its exponents passed MAX_EXPONENT."""
+    return ((1 << _W * count) - 1) // _MASK << (_W - 1)
 
 
 class MismatchError(ValueError):
@@ -71,7 +102,8 @@ class Poly:
 
     `variables` is the ordered tuple of variable names; `terms` maps each
     exponent tuple (aligned with `variables`) to its nonzero Fraction
-    coefficient.
+    coefficient.  Every exponent lies in [0, MAX_EXPONENT]; a constructor
+    or product that would pass MAX_EXPONENT raises ValueError.
     """
 
     __slots__ = ("variables", "_nums", "_den", "_terms")
@@ -84,7 +116,7 @@ class Poly:
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names!r}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, tuple[tuple[int, ...], Fraction]] = {}
         for exps, coeff in (terms or {}).items():
             c = as_fraction(coeff)
             e = as_int_tuple(exps, "exponents")
@@ -92,20 +124,30 @@ class Poly:
                 raise ValueError(
                     f"exponent tuple {e!r} does not match variables {names!r}"
                 )
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e!r}")
+            key = 0
+            for x in e:
+                if not 0 <= x <= MAX_EXPONENT:
+                    raise ValueError(
+                        f"exponent {x} outside [0, {MAX_EXPONENT}] in {e!r}"
+                    )
+                key = key << _W | x
             if c:
-                clean[e] = c
-        view = dict(sorted(clean.items()))
-        den = lcm(*(c.denominator for c in view.values()))
+                clean[key] = e, c
+        items = sorted(clean.items())
+        den = lcm(*[c.denominator for _, (_, c) in items])
+        nums: dict[int, int] = {}
+        view: dict[tuple[int, ...], Fraction] = {}
+        for key, (e, c) in items:
+            nums[key] = c.numerator * (den // c.denominator)
+            view[e] = c
         self.variables = names
-        self._nums = {e: c.numerator * (den // c.denominator) for e, c in view.items()}
+        self._nums = nums
         self._den = den
         self._terms = MappingProxyType(view)
 
     @classmethod
     def _make(
-        cls, variables: tuple[str, ...], nums: dict[tuple[int, ...], int], den: int = 1
+        cls, variables: tuple[str, ...], nums: dict[int, int], den: int = 1
     ) -> Poly:
         """The trusted constructor for results computed from canonical
         operands: drops zero numerators, sorts keys and reduces the common
@@ -131,8 +173,10 @@ class Poly:
         """Read-only mapping of exponent tuples to nonzero Fractions."""
         view = self._terms
         if view is None:
-            den = self._den
-            view = MappingProxyType({e: Fraction(n, den) for e, n in self._nums.items()})
+            den, count = self._den, len(self.variables)
+            view = MappingProxyType(
+                {_unpack(key, count): Fraction(n, den) for key, n in self._nums.items()}
+            )
             self._terms = view
         return view
 
@@ -166,7 +210,8 @@ class Poly:
 
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self._nums), default=0)
+        count = len(self.variables)
+        return max((sum(_unpack(key, count)) for key in self._nums), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -192,9 +237,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         c = as_fraction(other)
-        return Poly._make(
-            self.variables, {(0,) * len(self.variables): c.numerator}, c.denominator
-        )
+        return Poly._make(self.variables, {0: c.numerator}, c.denominator)
 
     def _add(self, other: Union[Poly, RationalLike], sign: int) -> Poly:
         other = self._coerce(other)
@@ -235,37 +278,41 @@ class Poly:
         big, small = self._nums, other._nums
         if len(big) < len(small):
             big, small = small, big
-        keys = list(big)
-        values = list(big.values())
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         get = out.get
-        # one row per term of the smaller operand: its exponent shifts every
-        # key of the larger one, its numerator scales every numerator
+        # one row per term of the smaller operand: its key shifts every key
+        # of the larger one, its numerator scales every numerator
         for eb, nb in small.items():
-            for key, n in zip([tuple(map(add, eb, ea)) for ea in keys], map(nb.__mul__, values)):
-                out[key] = get(key, 0) + n
+            for ea, na in big.items():
+                key = ea + eb
+                out[key] = get(key, 0) + na * nb
+        if reduce(or_, out, 0) & _guard(len(self.variables)):
+            raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
         return Poly._make(self.variables, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     # -- calculus ----------------------------------------------------------
 
-    def _var_index(self, name: str) -> int:
+    def _shift(self, name: str) -> int:
+        """The bit offset of one variable's field in this polynomial's keys."""
         try:
-            return self.variables.index(name)
+            i = self.variables.index(name)
         except ValueError:
             raise MismatchError(
                 f"unknown variable {name!r} in {self.variables!r}"
             ) from None
+        return _W * (len(self.variables) - 1 - i)
 
     def pderiv(self, name: str) -> Poly:
         """Exact partial derivative with respect to one variable."""
-        i = self._var_index(name)
-        out = {
-            e[:i] + (e[i] - 1,) + e[i + 1 :]: n * e[i]
-            for e, n in self._nums.items()
-            if e[i]
-        }
+        s = self._shift(name)
+        one = 1 << s
+        out = {}
+        for key, n in self._nums.items():
+            e = key >> s & _MASK
+            if e:
+                out[key - one] = n * e
         return Poly._make(self.variables, out, self._den)
 
     def defint01(self, name: str) -> Poly:
@@ -274,12 +321,13 @@ class Poly:
         The result no longer depends on `name` but keeps the same variable
         list (the exponent is zero everywhere).
         """
-        i = self._var_index(name)
-        scale = lcm(*{e[i] + 1 for e in self._nums})
-        out: dict[tuple[int, ...], int] = {}
-        for e, n in self._nums.items():
-            key = e[:i] + (0,) + e[i + 1 :]
-            out[key] = out.get(key, 0) + n * (scale // (e[i] + 1))
+        s = self._shift(name)
+        scale = lcm(*{(key >> s & _MASK) + 1 for key in self._nums})
+        out: dict[int, int] = {}
+        for key, n in self._nums.items():
+            e = key >> s & _MASK
+            key -= e << s
+            out[key] = out.get(key, 0) + n * (scale // (e + 1))
         return Poly._make(self.variables, out, self._den * scale)
 
     def compose(
@@ -315,23 +363,27 @@ class Poly:
 
     def set_var(self, name: str, value: RationalLike) -> Poly:
         """Substitute a rational constant for one variable, keeping the list."""
-        i = self._var_index(name)
+        s = self._shift(name)
         c = as_fraction(value)
         p, q = c.numerator, c.denominator
-        top = max((e[i] for e in self._nums), default=0)
-        out: dict[tuple[int, ...], int] = {}
-        for e, n in self._nums.items():
-            key = e[:i] + (0,) + e[i + 1 :]
-            out[key] = out.get(key, 0) + n * p ** e[i] * q ** (top - e[i])
+        top = max((key >> s & _MASK for key in self._nums), default=0)
+        out: dict[int, int] = {}
+        for key, n in self._nums.items():
+            e = key >> s & _MASK
+            key -= e << s
+            out[key] = out.get(key, 0) + n * p**e * q ** (top - e)
         return Poly._make(self.variables, out, self._den * q**top)
 
     def drop_var(self, name: str) -> Poly:
         """Remove a variable the polynomial does not actually use."""
-        i = self._var_index(name)
-        if any(e[i] for e in self._nums):
+        s = self._shift(name)
+        if any(key >> s & _MASK for key in self._nums):
             raise MismatchError(f"polynomial still depends on {name!r}")
+        i = self.variables.index(name)
         names = self.variables[:i] + self.variables[i + 1 :]
-        return Poly._make(names, {e[:i] + e[i + 1 :]: n for e, n in self._nums.items()}, self._den)
+        low = (1 << s) - 1
+        out = {key >> _W & ~low | key & low: n for key, n in self._nums.items()}
+        return Poly._make(names, out, self._den)
 
     # -- display -----------------------------------------------------------
 
@@ -371,7 +423,7 @@ class _MonomialTable:
     def __init__(self, images: Iterable[Poly], target: tuple[str, ...]):
         self.images = tuple(images)
         self.target = target
-        self.one = Poly._make(target, {(0,) * len(target): 1})
+        self.one = Poly._make(target, {0: 1})
         self.powers = [{1: image} for image in self.images]
         self.prefixes: dict[tuple[int, ...], Poly] = {(): self.one}
 
@@ -406,9 +458,10 @@ class _MonomialTable:
     def compose(self, poly: Poly) -> Poly:
         """poly with every variable replaced by its image: the sum of the
         coefficients times the monomial images, over one common denominator."""
-        pairs = [(n, self.monomial(e)) for e, n in poly._nums.items()]
+        count = len(poly.variables)
+        pairs = [(n, self.monomial(_unpack(key, count))) for key, n in poly._nums.items()]
         den = lcm(*(image._den for _, image in pairs))
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for n, image in pairs:
             scale = n * (den // image._den)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .forms import Chart, OrdinaryForm
 from .generalized import GeneralizedForm
@@ -261,7 +261,11 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
 
 def to_doc(value: Any) -> Any:
     """The document of a value, by its type's encoder (a module global,
-    looked up per call); a tuple is a list, an int or a str is itself."""
+    looked up per call); a tuple is a list, an int or a str is itself.
+
+    A bare Poly has no self-describing document, because its term list
+    carries no variables: it raises TypeError here, and poly_to_doc codes
+    it inside a form or plot document, which names them."""
     if isinstance(value, OrdinaryForm):
         return form_to_doc(value)
     if isinstance(value, KoszulElement):
@@ -275,7 +279,7 @@ def to_doc(value: Any) -> Any:
     if isinstance(value, Fraction):
         return frac_to_str(value)
     if isinstance(value, tuple):
-        return [to_doc(item) for item in value]
+        return list(map(to_doc, value))
     if type(value) in (int, str):
         return value
     raise TypeError(f"no document for {type(value).__name__} value {value!r}")
@@ -292,7 +296,7 @@ def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
     if type_name == "PathFormExpr":
         return expr_from_doc(doc)
     if type_name == "tuple[PathFormExpr, ...]":
-        return tuple(expr_from_doc(item) for item in _expect(doc, list, "expressions"))
+        return tuple(map(expr_from_doc, _expect(doc, list, "expressions")))
     if type_name == "Plot":
         return plot_from_doc(doc, chart)
     if type_name == "Fraction":
@@ -309,11 +313,41 @@ def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
 # field under the field's name, coded by the field's annotated type.
 _NODES = {cls.__name__: cls for cls in (EvPull, Chen, Wedge, Diff, Sum, Scale)}
 
+#: The deepest expression expr_to_doc writes and expr_from_doc reads: the
+#: most nodes below the root on any path down to a leaf.  Both recurse a
+#: few frames per node, so this stays well inside Python's default
+#: recursion limit, with room for the caller's own frames.
+MAX_EXPR_DEPTH = 200
+
+
+def _depth(root: Any, fields_of: Callable[[Any], Iterable], is_node: Callable) -> int:
+    """The most nodes below root on a path down to a leaf, counted level by
+    level without recursion.  A node's children are the values of its
+    fields, and the items of its list or tuple fields, that are nodes."""
+    depth, level = -1, [root]
+    while level:
+        depth += 1
+        level = [
+            child
+            for node in level
+            for value in fields_of(node)
+            for child in (value if isinstance(value, (list, tuple)) else (value,))
+            if is_node(child)
+        ]
+    return depth
+
 
 def expr_to_doc(expr: PathFormExpr) -> dict:
     name = type(expr).__name__
     if _NODES.get(name) is not type(expr):
         raise TypeError(f"not a path-form expression: {expr!r}")
+    depth = _depth(
+        expr,
+        lambda node: [getattr(node, field.name) for field in fields(node)],
+        lambda value: isinstance(value, PathFormExpr),
+    )
+    if depth > MAX_EXPR_DEPTH:
+        raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     doc: dict[str, Any] = {"node": name}
     for field in fields(expr):
         doc[field.name] = to_doc(getattr(expr, field.name))
@@ -323,6 +357,9 @@ def expr_to_doc(expr: PathFormExpr) -> dict:
 def expr_from_doc(doc: Any) -> PathFormExpr:
     try:
         obj = _expect(doc, dict, "an expression")
+        depth = _depth(obj, dict.values, lambda value: isinstance(value, dict) and "node" in value)
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         node = obj.get("node")
         cls = _NODES.get(node) if isinstance(node, str) else None
         if cls is None:

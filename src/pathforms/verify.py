@@ -214,7 +214,11 @@ def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:
 
 
 def gen_random(kind: str, cfg: GenConfig, index: int = 0, degree: Optional[int] = None):
-    """One random value of the named kind, deterministic in (seed, index)."""
+    """One random value of the named kind, deterministic in (seed, index).
+
+    A "poly" value has no self-describing document (its term list carries
+    no variables), so to_doc refuses it; serialize.poly_to_doc codes it
+    against the chart's coordinates x1..x{chart_dim}."""
     rng = _rng(cfg, f"gen:{kind}", index)
     chart = default_target_chart(cfg.chart_dim)
     if kind == "poly":

@@ -328,6 +328,18 @@ def test_malformed_document_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
+    # 2**63 is one past polyring.MAX_EXPONENT
+    term = {"coeff": "1/1", "exps": [2**63, 0]}
+    form = {"chart": ["x1", "x2"], "components": [{"indices": [0], "poly": [term]}]}
+    fpath = write_doc(tmp_path, "form.json", form)
+    ppath = write_doc(tmp_path, "plot.json", plot_to_doc(square_plot()))
+    status, out, err = run(capsys, "chen", fpath, ppath)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: exponent 9223372036854775808 outside")
+    assert "Traceback" not in err
+
+
 def test_chart_mismatch_exits_3(tmp_path, capsys):
     left = write_doc(tmp_path, "l.json", form_to_doc(dx(Chart(("x1",)), 0)))
     right = write_doc(tmp_path, "r.json", form_to_doc(dx(X2, 0)))

@@ -1,10 +1,14 @@
 """Independent oracles for the polynomial kernel and the pullback table.
 
-`Poly` arithmetic, `compose`, `pderiv` and `defint01` are compared with
-sympy's sparse `ring(QQ)` (sympy is a test-only oracle, skipped when it is
-not installed).  `PolyMap.pullback` and `chen_integral` are compared with
-the textbook definition written out below: compose each coefficient term
-by term with repeated multiplication, then wedge by each dm_i in turn.
+`Poly` arithmetic, `compose`, `pderiv`, `defint01`, `set_var`, `drop_var`
+and `total_degree` are compared with sympy's sparse `ring(QQ)` (sympy is a
+test-only oracle, skipped when it is not installed).  Sums, differences,
+derivatives, integrals and dropped variables are also checked with
+exponents near MAX_EXPONENT, where a packed key's fields sit next to
+their top bit, so a carry between fields or a misordered key would show.
+`PolyMap.pullback` and `chen_integral` are compared with the textbook
+definition written out below: compose each coefficient term by term with
+repeated multiplication, then wedge by each dm_i in turn.
 """
 
 import itertools
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 from pathforms.forms import Chart, OrdinaryForm
 from pathforms.pathspace import Plot, chen_integral, decompose, ev_pullback
-from pathforms.polyring import Poly
+from pathforms.polyring import MAX_EXPONENT, Poly
 from pathforms.serialize import default_target_chart
 from pathforms.verify import GenConfig, _rng, rand_form_mixed, rand_plot
 
@@ -34,6 +38,11 @@ polys = st.dictionaries(exponents, coeffs, max_size=6).map(lambda t: Poly(XY, t)
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
 ).map(lambda t: Poly(XY, t))
+# exponents small or within 3 of MAX_EXPONENT: too large to multiply, or to
+# raise a constant to, but fine for sums, derivatives and integrals
+NEAR_MAX = MAX_EXPONENT - 3
+wide = st.one_of(st.integers(0, 4), st.integers(NEAR_MAX, MAX_EXPONENT))
+wide_polys = st.dictionaries(st.tuples(wide, wide), coeffs, max_size=6).map(lambda t: Poly(XY, t))
 
 
 def to_ring(p: Poly):
@@ -79,6 +88,72 @@ def test_defint01_matches_sympy(a):
     x = sympy.Symbol("x")
     expected = sympy.integrate(to_ring(a).as_expr(), (x, 0, 1))
     assert a.defint01("x") == from_ring(R(expected))
+
+
+@given(wide_polys, wide_polys)
+def test_sums_near_the_exponent_limit_match_sympy(a, b):
+    fa, fb = to_ring(a), to_ring(b)
+    assert a + b == from_ring(fa + fb)
+    assert a - b == from_ring(fa - fb)
+    assert dict((a + b).terms) == {
+        e: Fraction(int(c.numerator), int(c.denominator)) for e, c in (fa + fb).items()
+    }
+
+
+@given(wide_polys)
+def test_pderiv_near_the_exponent_limit_matches_sympy(a):
+    assert a.pderiv("x") == from_ring(to_ring(a).diff(RX))
+    assert a.pderiv("y") == from_ring(to_ring(a).diff(RY))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_polys)
+def test_defint01_near_the_exponent_limit_matches_sympy(a):
+    # sympy integrates x**n for a symbolic integer n >= 0; each exponent
+    # near the limit is written NEAR_MAX + k and n set to NEAR_MAX after
+    x, y = sympy.symbols("x y")
+    n = sympy.Symbol("n", integer=True, nonnegative=True)
+    symbolic = sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * x ** (n + ex - NEAR_MAX if ex >= NEAR_MAX else ex)
+            * y ** (n + ey - NEAR_MAX if ey >= NEAR_MAX else ey)
+            for (ex, ey), c in a.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+    expected = sympy.integrate(symbolic, (x, 0, 1)).subs(n, NEAR_MAX)
+    assert a.defint01("x") == from_ring(R(expected))
+
+
+@given(polys, coeffs)
+def test_set_var_matches_sympy(a, c):
+    value = QQ(c.numerator, c.denominator)
+    assert a.set_var("x", c) == from_ring(to_ring(a).subs(RX, value))
+    assert a.set_var("y", c) == from_ring(to_ring(a).subs(RY, value))
+
+
+@given(st.dictionaries(st.tuples(wide), coeffs, max_size=6))
+def test_drop_var_matches_sympy(terms):
+    # a polynomial in one variable over (x, y), then over that variable alone
+    for gone, generator, place in (("y", RY, lambda e: (e, 0)), ("x", RX, lambda e: (0, e))):
+        a = Poly(XY, {place(e): c for (e,), c in terms.items()})
+        dropped = a.drop_var(gone)
+        assert dropped.variables == tuple(v for v in XY if v != gone)
+        assert dict(dropped.terms) == {
+            e: Fraction(int(c.numerator), int(c.denominator))
+            for e, c in to_ring(a).drop(generator).items()
+        }
+
+
+GRLEX = ring("x,y", QQ, order="grlex")[0]
+
+
+@given(st.one_of(polys, wide_polys))
+def test_total_degree_matches_sympy(a):
+    # the leading monomial in graded order has the largest total degree;
+    # sympy's zero polynomial leads with (0, 0), and Poly's degree is 0 too
+    assert a.total_degree() == sum(GRLEX.from_dict(dict(to_ring(a))).LM)
 
 
 # -- pullback and the Chen integral against the wedge-by-each-dm_i definition --

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathforms.polyring import MismatchError, Poly, as_fraction
+from pathforms.polyring import MAX_EXPONENT, MismatchError, Poly, as_fraction
 
 XY = ("x", "y")
 
@@ -217,6 +217,55 @@ def test_scalars_on_either_side():
     x = Poly.var(("x",), "x")
     assert (x == 3) is False
     assert (3 - x).terms == {(0,): 3, (1,): -1}
+
+
+def test_constructor_accepts_exponents_up_to_the_limit():
+    top = p({(MAX_EXPONENT, 0): 1, (0, MAX_EXPONENT): Fraction(1, 2)})
+    assert top.terms == {(MAX_EXPONENT, 0): Fraction(1), (0, MAX_EXPONENT): Fraction(1, 2)}
+    assert top.total_degree() == MAX_EXPONENT
+    for exps in ((MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1), (2**64, 0)):
+        with pytest.raises(ValueError):
+            p({exps: 1})
+
+
+def test_product_past_the_exponent_limit_raises():
+    half = 2**62
+    assert p({(MAX_EXPONENT - 1, 0): 1}) * p({(1, 0): 1}) == p({(MAX_EXPONENT, 0): 1})
+    assert p({(MAX_EXPONENT, 0): 1}) * p({(0, MAX_EXPONENT): 1}) == p({(MAX_EXPONENT, MAX_EXPONENT): 1})
+    # each field overflowing on its own: a carry would land in the next field
+    for left, right in (
+        ({(MAX_EXPONENT, 0): 1}, {(1, 0): 1}),
+        ({(0, MAX_EXPONENT): 1}, {(0, 1): 1}),
+        ({(half, 0): 1, (0, 0): 1}, {(half, 0): 1}),
+        ({(1, MAX_EXPONENT): 1}, {(0, 1): 1, (1, 0): 1}),
+    ):
+        with pytest.raises(ValueError):
+            p(left) * p(right)
+
+
+def test_terms_order_matches_tuple_order_across_a_field_boundary():
+    exps = [(1, 0), (0, MAX_EXPONENT), (0, 1), (1, MAX_EXPONENT), (0, 0), (MAX_EXPONENT, 0)]
+    q = p(dict.fromkeys(exps, 1))
+    assert list(q.terms) == sorted(exps)
+    assert list((q + q).terms) == sorted(exps)
+    xyz = ("x", "y", "z")
+    exps3 = [(0, 1, 0), (0, 0, MAX_EXPONENT), (1, 0, 0), (0, MAX_EXPONENT, MAX_EXPONENT)]
+    r = Poly(xyz, dict.fromkeys(exps3, 2))
+    assert list(r.terms) == sorted(exps3)
+    assert list(r.pderiv("z").terms) == sorted(e[:2] + (e[2] - 1,) for e in exps3 if e[2])
+
+
+def test_one_polynomial_built_three_ways_is_equal_and_hashes_equal():
+    # x^2*y + 3/2 over (x, y): by the constructor, by arithmetic, by compose
+    built = p({(2, 1): 1, (0, 0): Fraction(3, 2)})
+    x, y = Poly.var(XY, "x"), Poly.var(XY, "y")
+    computed = x * x * y + Fraction(3, 2)
+    composed = Poly(("s", "t"), {(1, 1): 1, (0, 0): Fraction(3, 2)}).compose(
+        {"s": x * x, "t": y}
+    )
+    assert built == computed == composed
+    assert hash(built) == hash(computed) == hash(composed)
+    assert repr(built) == repr(computed) == repr(composed)
 
 
 coeffs = st.fractions(

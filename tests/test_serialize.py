@@ -10,6 +10,7 @@ from pathforms.koszul import KoszulElement, KoszulParams
 from pathforms.pathspace import Chen, Diff, EvPull, Plot, Scale, Sum, Wedge, map_I
 from pathforms.polyring import MismatchError, Poly
 from pathforms.serialize import (
+    MAX_EXPR_DEPTH,
     ParseError,
     chart_from_doc,
     chart_to_doc,
@@ -328,6 +329,41 @@ def test_too_deep_expression_is_a_parse_error():
         doc = {"node": "Diff", "child": doc}
     with pytest.raises(ParseError):
         expr_from_doc(doc)
+
+
+@pytest.mark.parametrize("node", ["Diff", "Sum", "Scale", "Wedge"])
+def test_expression_depth_limit_holds_both_ways(node):
+    leaf = Chen(dx(X2, 0))
+    wrap, wrap_doc = {
+        "Diff": (Diff, lambda child: {"node": "Diff", "child": child}),
+        "Sum": (lambda child: Sum((child,)), lambda child: {"node": "Sum", "children": [child]}),
+        "Scale": (
+            lambda child: Scale(Fraction(2), child),
+            lambda child: {"node": "Scale", "coeff": "2/1", "child": child},
+        ),
+        "Wedge": (
+            lambda child: Wedge(leaf, child),
+            lambda child: {"node": "Wedge", "left": expr_to_doc(leaf), "right": child},
+        ),
+    }[node]
+    expr = leaf
+    for _ in range(MAX_EXPR_DEPTH):
+        expr = wrap(expr)
+    doc = expr_to_doc(expr)
+    assert expr_from_doc(loads(dumps(doc))) == expr
+    assert expr_from_doc(wrap_doc(expr_to_doc(leaf))) == wrap(leaf)
+    with pytest.raises(ValueError, match="nested deeper"):
+        expr_to_doc(wrap(expr))
+    with pytest.raises(ParseError, match="nested deeper"):
+        expr_from_doc(wrap_doc(doc))
+
+
+def test_to_doc_refuses_a_bare_poly():
+    # its term list carries no variables; poly_to_doc codes it inside a
+    # form or plot document instead
+    poly = gen_random("poly", GenConfig(), index=0)
+    with pytest.raises(TypeError, match="^no document for Poly value Poly"):
+        to_doc(poly)
 
 
 def test_random_values_round_trip():
