@@ -10,6 +10,7 @@ mismatches, operands outside an operation's domain).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -129,7 +130,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return doc, 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="pathforms",
         description="exact computations with generalized differential forms "

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable, Iterable, Mapping
 
 from .forms import Chart, OrdinaryForm
@@ -46,7 +47,58 @@ class ParseError(ValueError):
 
 
 def dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as canonical text: exactly the bytes of
+    json.dumps(doc, indent=2, sort_keys=True) + "\n", rendered in one
+    recursive pass whose strings are escaped by json's C encoder (with an
+    indent, json.dumps runs its pure-Python encoder)."""
+    parts: list[str] = []
+    _render(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(value: Any, newline: str, emit: Callable[[str], Any]) -> None:
+    """Emit value's text, its nested lines starting with newline plus two
+    spaces: json.dumps's rules for indent=2 and sort_keys=True."""
+    if isinstance(value, str):
+        emit(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                # json's key rule: an int, float, bool or None key is written
+                # as its JSON text in quotes, any other key is a TypeError
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}"
+                    )
+                key = json.dumps(key)
+            emit(sep)
+            emit(_encode_str(key))
+            emit(": ")
+            _render(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _render(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif type(value) is int:
+        emit(int.__repr__(value))
+    else:
+        emit(json.dumps(value))
 
 
 def loads(text: str) -> Any:
@@ -77,11 +129,20 @@ def frac_to_str(value: Fraction) -> str:
 
 
 def frac_from_str(text: Any) -> Fraction:
+    """The rational a string "num/den" or "num" names: ASCII digits, the
+    numerator optionally signed with "-", read by int() and normalised."""
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise ParseError(
+            f"bad rational {text!r}: Invalid literal for Fraction: {text!r}"
+        )
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as e:
+        # a number past int()'s digit limit, or a zero denominator
         raise ParseError(f"bad rational {text!r}: {e}") from e
 
 
@@ -114,8 +175,12 @@ def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
     out: dict[tuple[int, ...], Any] = {}
     for item in _expect(doc, list, what):
         obj = _expect(item, dict, f"an entry of {what}")
-        items = _expect(obj.get(key), list, f"{what} {key}")
-        indices = tuple(_expect(i, int, f"{what} {key}") for i in items)
+        items = obj.get(key)
+        if type(items) is not list or not all(type(i) is int for i in items):
+            # the slow path names the first offender, or passes subclasses
+            for i in _expect(items, list, f"{what} {key}"):
+                _expect(i, int, f"{what} {key}")
+        indices = tuple(items)
         if indices in out:
             raise ParseError(f"duplicate {key} {list(indices)} in {what}")
         out[indices] = parse(obj.get(value))

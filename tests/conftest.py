@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# No per-example deadline: the property tests check exact results, and on a
+# shared or slow host an example's wall time says nothing about them.
+settings.register_profile("exact", deadline=None)
+settings.load_profile("exact")
 
 
 def pytest_addoption(parser):

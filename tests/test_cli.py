@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pathforms
-from pathforms.cli import main
+from pathforms.cli import build_parser, main
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import pair_encode
 from pathforms.pathspace import (
@@ -31,7 +33,7 @@ from pathforms.serialize import (
     loads,
     plot_to_doc,
 )
-from pathforms.verify import SuiteReport
+from pathforms.verify import GenConfig, SuiteReport
 
 X2 = Chart(("x1", "x2"))
 
@@ -340,6 +342,23 @@ def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("coeff", ["1e10000000", "1e1000000", "0.5"])
+def test_coefficient_outside_the_rational_grammar_exits_2_at_once(
+    tmp_path, capsys, coeff
+):
+    # Fraction() would read "1e10000000" for seconds, and "1e1000000" as a
+    # number too long to write back out in d(c x2 dx1)
+    term = {"coeff": coeff, "exps": [0, 1]}
+    form = {"chart": ["x1", "x2"], "components": [{"indices": [0], "poly": [term]}]}
+    fpath = write_doc(tmp_path, "form.json", form)
+    start = time.perf_counter()
+    status, out, err = run(capsys, "d", fpath)
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: bad rational {coeff!r}")
+    assert "Traceback" not in err
+
+
 def test_chart_mismatch_exits_3(tmp_path, capsys):
     left = write_doc(tmp_path, "l.json", form_to_doc(dx(Chart(("x1",)), 0)))
     right = write_doc(tmp_path, "r.json", form_to_doc(dx(X2, 0)))
@@ -441,6 +460,37 @@ def test_argparse_rejects_unknown_verbs_and_flags(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+def test_the_shared_parser_keeps_nothing_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    form = dx(X2, 0).scale(X2.var(1))
+    fpath = write_doc(tmp_path, "form.json", form_to_doc(form))
+    ppath = write_doc(tmp_path, "plot.json", plot_to_doc(square_plot()))
+    outpath = tmp_path / "result.json"
+    assert run(capsys, "d", fpath, "--out", str(outpath)) == (0, "", "")
+    # a later call without --out writes to stdout
+    assert run(capsys, "d", fpath) == (0, dumps(form_to_doc(form.d())), "")
+    assert run(capsys, "ev", fpath, ppath, "--endpoint", "1")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["ev", fpath, ppath])
+    assert exc.value.code == 2
+    assert "--endpoint" in capsys.readouterr().err
+    argv = ("verify", "--suite", "kernel", "--trials", "1", "--seed", "5")
+    assert run(capsys, *argv)[0] == 0
+    args = build_parser().parse_args(["verify"])
+    assert args.suite == "all"
+    assert [getattr(args, f.name) for f in fields(GenConfig)] == [
+        f.default for f in fields(GenConfig)
+    ]
+    helps = []
+    for argv in (["--help"], ["verify", "--help"], ["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[:2] == helps[2:]
+    assert helps[0] != helps[1]
 
 
 def test_output_documents_are_canonical_bytes(tmp_path, capsys):

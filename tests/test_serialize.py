@@ -1,8 +1,12 @@
 """JSON interchange: round trips, canonical bytes, and parse rejection."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import pair_encode
@@ -39,6 +43,8 @@ from pathforms.serialize import (
 )
 from pathforms.verify import GenConfig, gen_random
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
 X2 = Chart(("x1", "x2"))
 
 
@@ -47,12 +53,50 @@ def test_rational_strings():
     assert frac_to_str(Fraction(5)) == "5/1"
     assert frac_from_str("-3/4") == Fraction(-3, 4)
     assert frac_from_str("7") == Fraction(7)
-    with pytest.raises(ParseError):
+    assert frac_from_str("2/4") == Fraction(1, 2)
+    assert frac_from_str("-0/5") == 0
+    assert frac_from_str("007/010") == Fraction(7, 10)
+    with pytest.raises(ParseError, match=r"^bad rational '1/0': Fraction\(1, 0\)$"):
         frac_from_str("1/0")
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        ParseError, match="^bad rational 'a/b': Invalid literal for Fraction: 'a/b'$"
+    ):
         frac_from_str("a/b")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^expected a rational string, got 0.5$"):
         frac_from_str(0.5)
+
+
+# A document's rational is -?digits(/digits)? in ASCII.  Fraction() read the
+# first ten of these; the rest it refused too, with the same messages.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.5",
+        "1e5",
+        "1e10000000",
+        "+1/2",
+        " 1/2",
+        "1/2 ",
+        "1/2\n",
+        "1_000",
+        "\u0661/2",  # ARABIC-INDIC DIGIT ONE
+        "\uff11",  # FULLWIDTH DIGIT ONE
+        "1/-2",
+        "-1/-2",
+        "--1",
+        "-",
+        "",
+        "/2",
+        "1/",
+        "1/2/3",
+        "-3/0",
+        "9" * 5000,
+        "1/" + "9" * 5000,
+    ],
+)
+def test_rational_strings_outside_the_grammar_are_rejected(text):
+    with pytest.raises(ParseError, match="^bad rational "):
+        frac_from_str(text)
 
 
 def test_loads_rejects_bad_json():
@@ -65,6 +109,60 @@ def test_dumps_is_canonical():
     text = dumps({"b": 1, "a": [2]})
     assert text == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
     assert dumps({"a": [2], "b": 1}) == text
+
+
+def reference_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda path: path.name
+)
+def test_dumps_matches_json_on_golden_documents(path):
+    text = path.read_text()
+    assert dumps(json.loads(text)) == reference_dumps(json.loads(text)) == text
+
+
+_tricky_text = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\ud800\U0001f600a')
+    | st.characters()
+)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.just(0.0)
+    | _tricky_text
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_tricky_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_trees)
+def test_dumps_matches_json_on_generated_trees(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{3: "a", -1: [], 10: {}}, {2.5: 1, -0.0: 2}, {None: 1}, {True: 0, False: 1}],
+)
+def test_dumps_writes_scalar_keys_as_json_does(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{(1,): 0}, {"a": 1, 2: 0}, [object()]])
+def test_dumps_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        reference_dumps(doc)
+    with pytest.raises(TypeError):
+        dumps(doc)
 
 
 def test_poly_round_trip():
