@@ -4,7 +4,9 @@ Every verb reads documents, computes one value, and writes one document
 to stdout (or --out).  Exit status is 0 on success, 1 when a
 verification suite reports failures, 2 when an input does not parse,
 and 3 when parsed operands do not fit together (chart or parameter
-mismatches, operands outside an operation's domain).
+mismatches, operands outside an operation's domain) or when a rational
+in the result has more digits than int() writes as text (4300 by
+default), which inputs inside that limit can still produce.
 """
 
 from __future__ import annotations

@@ -64,6 +64,8 @@ class OrdinaryForm(SignedMonomials):
         chart: Chart,
         components: Mapping[tuple[int, ...], Poly] | None = None,
     ):
+        if not isinstance(chart, Chart):
+            raise TypeError(f"a form's chart must be a Chart, got {chart!r}")
         super().__init__(chart, len(chart.coordinates), components)
 
     @property
@@ -172,10 +174,9 @@ class PolyMap:
 
     def differentials(self) -> tuple[OrdinaryForm, ...]:
         """The 1-forms d(m_i) on the source chart, one per target coordinate."""
-        out = []
-        for poly in self.components:
-            out.append(OrdinaryForm.from_poly(self.source, poly).d())
-        return tuple(out)
+        return tuple(
+            OrdinaryForm._trusted(self.source, {(): m}).d() for m in self.components
+        )
 
     def pullback(self, form: OrdinaryForm) -> OrdinaryForm:
         """f dx_I  ->  (f o m) dm_{i1} ^ ... ^ dm_{ip} on the source chart.
@@ -192,7 +193,7 @@ class PolyMap:
             )
         table = _MonomialTable(self.components, self.source.coordinates)
         dms = self.differentials()
-        wedges = {(): OrdinaryForm.from_poly(self.source, table.one)}
+        wedges = {(): OrdinaryForm._trusted(self.source, {(): table.one})}
         wedges.update(((i,), dm_i) for i, dm_i in enumerate(dms))
 
         def dm(indices: tuple[int, ...]) -> OrdinaryForm:
@@ -216,7 +217,7 @@ class PolyMap:
                 term = composed * minor
                 prev = acc.get(key)
                 acc[key] = term if prev is None else prev + term
-        return OrdinaryForm(self.source, acc)
+        return OrdinaryForm._trusted(self.source, acc)
 
     def _keeps(self, indices: tuple[int, ...]) -> bool:
         """Whether pullback computes the source component dx_indices: every

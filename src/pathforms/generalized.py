@@ -22,7 +22,7 @@ from typing import Mapping, Union
 from .forms import Chart, OrdinaryForm
 from .koszul import KoszulElement, KoszulParams
 from .polyring import MismatchError, Poly, RationalLike
-from .signs import SignedMonomials, sort_with_sign
+from .signs import SignedMonomials, checked_indices, sort_with_sign
 
 
 def _odd_negated(form: OrdinaryForm) -> OrdinaryForm:
@@ -104,7 +104,8 @@ class GeneralizedForm(SignedMonomials):
 
     def component(self, indices: tuple[int, ...]) -> OrdinaryForm:
         """The ordinary form paired with z_indices (zero when absent)."""
-        return self.components.get(tuple(indices), OrdinaryForm.zero(self.chart))
+        key = checked_indices(indices, self.params.n)
+        return self.components.get(key) or OrdinaryForm._trusted(self.chart, {})
 
     # -- graded algebra ------------------------------------------------------
 
@@ -127,7 +128,8 @@ class GeneralizedForm(SignedMonomials):
         constants pass each component a with the sign (-1)^{deg a}."""
         chart = self.chart
         constants = tuple(
-            OrdinaryForm.from_poly(chart, chart.const(k)) for k in self.params.constants
+            OrdinaryForm._trusted(chart, {(): chart.const(k)})
+            for k in self.params.constants
         )
         return self._contract(
             constants, {i: f.d() for i, f in self.components.items()}

@@ -115,7 +115,7 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     for indices, poly in pulled.components.items():
         rest = tuple(i - 1 for i in indices[1:])
         out[rest] = poly.defint01(plot.time).drop_var(plot.time)
-    return OrdinaryForm(plot.domain, out)
+    return OrdinaryForm._trusted(plot.domain, out)
 
 
 def ev_pullback(endpoint: int, form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
@@ -225,7 +225,7 @@ def chen(form: OrdinaryForm) -> PathFormExpr:
     positive = {i: f for i, f in form.components.items() if i}
     if not positive:
         return zero_expr()
-    return Chen(OrdinaryForm(form.chart, positive))
+    return Chen(form._new(positive))
 
 
 def eval_pathform(expr: PathFormExpr, plot: Plot) -> OrdinaryForm:
@@ -239,7 +239,7 @@ def eval_pathform(expr: PathFormExpr, plot: Plot) -> OrdinaryForm:
     if isinstance(expr, Diff):
         return eval_pathform(expr.child, plot).d()
     if isinstance(expr, Sum):
-        out = OrdinaryForm.zero(plot.domain)
+        out = OrdinaryForm._trusted(plot.domain, {})
         for child in expr.children:
             out = out + eval_pathform(child, plot)
         return out

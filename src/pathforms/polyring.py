@@ -71,6 +71,14 @@ def _guard(count: int) -> int:
     return ((1 << _W * count) - 1) // _MASK << (_W - 1)
 
 
+def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
+    """The variable names as a tuple; a repeated name is rejected."""
+    names = tuple(variables)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names: {names!r}")
+    return names
+
+
 class MismatchError(ValueError):
     """Operands disagree about variable lists, charts, or structure constants."""
 
@@ -113,10 +121,8 @@ class Poly:
         variables: Iterable[str],
         terms: Mapping[tuple[int, ...], RationalLike] | None = None,
     ):
-        names = tuple(variables)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names: {names!r}")
-        clean: dict[int, tuple[tuple[int, ...], Fraction]] = {}
+        names = _distinct(variables)
+        clean: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             c = as_fraction(coeff)
             e = as_int_tuple(exps, "exponents")
@@ -132,18 +138,13 @@ class Poly:
                     )
                 key = key << _W | x
             if c:
-                clean[key] = e, c
+                clean[key] = c
+        den = lcm(*[c.denominator for c in clean.values()])
         items = sorted(clean.items())
-        den = lcm(*[c.denominator for _, (_, c) in items])
-        nums: dict[int, int] = {}
-        view: dict[tuple[int, ...], Fraction] = {}
-        for key, (e, c) in items:
-            nums[key] = c.numerator * (den // c.denominator)
-            view[e] = c
         self.variables = names
-        self._nums = nums
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in items}
         self._den = den
-        self._terms = MappingProxyType(view)
+        self._terms = None
 
     @classmethod
     def _make(
@@ -188,8 +189,9 @@ class Poly:
 
     @classmethod
     def const(cls, variables: Iterable[str], value: RationalLike) -> Poly:
-        names = tuple(variables)
-        return cls(names, {(0,) * len(names): value})
+        names = _distinct(variables)
+        c = as_fraction(value)
+        return cls._make(names, {0: c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, variables: Iterable[str], name: str) -> Poly:
@@ -236,8 +238,7 @@ class Poly:
     def _coerce(self, other: Union[Poly, RationalLike]) -> Poly:
         if isinstance(other, Poly):
             return other
-        c = as_fraction(other)
-        return Poly._make(self.variables, {0: c.numerator}, c.denominator)
+        return Poly.const(self.variables, other)
 
     def _add(self, other: Union[Poly, RationalLike], sign: int) -> Poly:
         other = self._coerce(other)

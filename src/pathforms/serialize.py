@@ -21,6 +21,7 @@ newline) so equal values always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -125,7 +126,15 @@ def _construct(make: Callable[..., Any], *args: Any) -> Any:
 
 
 def frac_to_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    """The text "num/den"; past int()'s digit limit, a ValueError naming it."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a rational in the result has more than {limit} digits, "
+            "the limit on writing an integer as text"
+        ) from None
 
 
 def frac_from_str(text: Any) -> Fraction:

@@ -62,6 +62,18 @@ def sort_with_sign(indices: tuple[int, ...]) -> Optional[tuple[int, tuple[int, .
     return sign, out
 
 
+def checked_indices(indices: Any, generators: int) -> tuple[int, ...]:
+    """indices as a strictly increasing tuple of ints in [0, generators)."""
+    idx = as_int_tuple(indices, "monomial indices")
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"index tuple {idx!r} is not strictly increasing")
+    if idx and (idx[0] < 0 or idx[-1] >= generators):
+        raise ValueError(
+            f"index tuple {idx!r} out of range for {generators} generators"
+        )
+    return idx
+
+
 def _monomial_order(item: tuple[tuple[int, ...], Any]) -> tuple[int, tuple[int, ...]]:
     return len(item[0]), item[0]
 
@@ -103,16 +115,8 @@ class SignedMonomials:
         """Check every index tuple against `generators` and every
         coefficient against the context, then store them."""
         self._context = context
-        clean: dict[tuple[int, ...], Any] = {}
-        for indices, coeff in (components or {}).items():
-            idx = as_int_tuple(indices, "monomial indices")
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx!r} is not strictly increasing")
-            if idx and (idx[0] < 0 or idx[-1] >= generators):
-                raise ValueError(
-                    f"index tuple {idx!r} out of range for {generators} generators"
-                )
-            clean[idx] = self._checked(coeff)
+        items = (components or {}).items()
+        clean = {checked_indices(i, generators): self._checked(c) for i, c in items}
         self.components = _store(clean)
 
     @classmethod
@@ -120,13 +124,18 @@ class SignedMonomials:
         """The zero value; takes the constructor's context arguments."""
         return cls(*context)
 
-    def _new(self, components: Mapping[tuple[int, ...], Any]):
-        """A value in this context from coefficients that already fit it:
-        zeros are dropped and keys sorted, nothing is checked."""
-        out = object.__new__(type(self))
-        out._context = self._context
+    @classmethod
+    def _trusted(cls, context: Any, components: Mapping[tuple[int, ...], Any]):
+        """The trusted constructor for indices and coefficients the checked
+        one would accept unchanged: drops zeros and sorts, checks nothing."""
+        out = object.__new__(cls)
+        out._context = context
         out.components = _store(components)
         return out
+
+    def _new(self, components: Mapping[tuple[int, ...], Any]):
+        """A value in this context through the trusted constructor."""
+        return self._trusted(self._context, components)
 
     # -- predicates and degree bookkeeping -----------------------------------
 

@@ -13,6 +13,10 @@ check failed and records it.  Every suite accepts the `perturb` mutation
 and some accept their own; a mutation deliberately breaks the checked
 identity in a known way, so the failure machinery itself is testable: a
 suite that cannot flag a planted bug proves nothing when it passes.
+
+Generators build their canonical values directly, through the trusted
+constructors.  tests/golden/suite_digests.json pins the draw order: each
+polynomial term draws its coefficient before its exponents.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import random
 import time
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .forms import Chart, OrdinaryForm
@@ -36,13 +41,15 @@ from .pathspace import (
     wedge_prime,
     wedge_prime_explicit,
 )
-from .polyring import Poly, as_int_tuple
+from .polyring import _W, Poly, as_int_tuple
 from .serialize import default_domain_chart, default_target_chart, to_doc
 from .witnesses import Witness, injectivity_witnesses
 
 
 # random rationals have numerator in [-4, 4] and denominator in [1, 4]
 COEFF_BOUND = 4
+# a multiple of every random denominator
+_COMMON_DEN = lcm(*range(1, COEFF_BOUND + 1))
 
 
 @dataclass(frozen=True)
@@ -100,20 +107,22 @@ def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
             return value
 
 
-def _rand_exponents(rng: random.Random, nvars: int, max_deg: int) -> tuple[int, ...]:
-    exps = [0] * nvars
-    if nvars:
-        for _ in range(rng.randint(0, max_deg)):
-            exps[rng.randrange(nvars)] += 1
-    return tuple(exps)
-
-
 def rand_poly(rng: random.Random, variables: tuple[str, ...], cfg: GenConfig) -> Poly:
-    """A random polynomial of at most three terms of degree <= cfg.poly_deg."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """A random polynomial of at most three terms of degree <= cfg.poly_deg.
+    Each term draws its coefficient as rand_fraction does, then a degree and
+    that many variables to raise by one; a later term on a monomial wins."""
+    count = len(variables)
+    units = [1 << s for s in range(_W * (count - 1), -1, -_W)]
+    nums: dict[int, int] = {}
     for _ in range(rng.randint(0, 3)):
-        terms[_rand_exponents(rng, len(variables), cfg.poly_deg)] = rand_fraction(rng)
-    return Poly(variables, terms)
+        num = rng.randint(-COEFF_BOUND, COEFF_BOUND)
+        num *= _COMMON_DEN // rng.randint(1, COEFF_BOUND)
+        key = 0
+        if count:
+            for _ in range(rng.randint(0, cfg.poly_deg)):
+                key += units[rng.randrange(count)]
+        nums[key] = num
+    return Poly._make(variables, nums, _COMMON_DEN)
 
 
 def _rand_monomials(rng: random.Random, n: int, size: int, coeff: Callable) -> dict:
@@ -140,7 +149,7 @@ def rand_form(
     if degree is None:
         degree = rng.randint(0, chart.dim)
     coeff = lambda: rand_poly(rng, chart.coordinates, cfg)
-    return OrdinaryForm(chart, _rand_monomials(rng, chart.dim, degree, coeff))
+    return OrdinaryForm._trusted(chart, _rand_monomials(rng, chart.dim, degree, coeff))
 
 
 def rand_form_mixed(rng: random.Random, chart: Chart, cfg: GenConfig) -> OrdinaryForm:
@@ -166,7 +175,7 @@ def rand_koszul(
     if degree is None:
         degree = -rng.randint(0, params.n)
     terms = _rand_monomials(rng, params.n, -degree, lambda: rand_fraction(rng))
-    return KoszulElement(params, terms)
+    return KoszulElement._trusted(params, terms)
 
 
 def rand_koszul_mixed(
@@ -195,7 +204,7 @@ def rand_genform(
             if rng.random() < 0.4:
                 continue
             components[indices] = rand_form(rng, chart, cfg, degree=ordinary)
-    return GeneralizedForm(chart, params, components)
+    return GeneralizedForm._trusted((chart, params), components)
 
 
 def rand_genform_mixed(

@@ -359,6 +359,23 @@ def test_coefficient_outside_the_rational_grammar_exits_2_at_once(
     assert "Traceback" not in err
 
 
+def test_result_past_the_digit_limit_exits_3(tmp_path, capsys):
+    # each 4000-digit coefficient reads back in, but their 8000-digit
+    # product is past int()'s 4300-digit limit for writing text
+    term = {"coeff": "9" * 4000, "exps": [0, 0]}
+    paths = []
+    for i, name in enumerate(("left", "right")):
+        form = {"chart": ["x1", "x2"], "components": [{"indices": [i], "poly": [term]}]}
+        paths.append(write_doc(tmp_path, f"{name}.json", form))
+    status, out, err = run(capsys, "wedge", *paths)
+    assert (status, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: a rational in the result has more than {limit} digits, "
+        "the limit on writing an integer as text\n"
+    )
+
+
 def test_chart_mismatch_exits_3(tmp_path, capsys):
     left = write_doc(tmp_path, "l.json", form_to_doc(dx(Chart(("x1",)), 0)))
     right = write_doc(tmp_path, "r.json", form_to_doc(dx(X2, 0)))

@@ -120,6 +120,31 @@ def test_non_poly_coefficient_rejected():
         OrdinaryForm(Chart(("x",)), {(0,): 1})
 
 
+@pytest.mark.parametrize("poly", [True, "x", 1])
+def test_from_poly_rejects_a_non_poly(poly):
+    with pytest.raises(TypeError):
+        OrdinaryForm.from_poly(R2, poly)
+
+
+def test_from_poly_rejects_a_poly_off_the_chart():
+    with pytest.raises(MismatchError):
+        OrdinaryForm.from_poly(R2, Poly.const(("x2", "x1"), 1))
+
+
+@pytest.mark.parametrize("chart", [True, "x1", ("x1", "x2")])
+def test_form_constructors_reject_a_non_chart(chart):
+    # a bool or a string used to fail with AttributeError
+    with pytest.raises(TypeError, match="must be a Chart"):
+        OrdinaryForm.zero(chart)
+    with pytest.raises(TypeError, match="must be a Chart"):
+        OrdinaryForm.from_poly(chart, R2.const(1))
+
+
+def test_chart_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="distinct"):
+        OrdinaryForm.zero(Chart(("x", "x")))
+
+
 def test_non_integer_dx_index_rejected():
     with pytest.raises(TypeError):
         dx(R2, 0.9)

@@ -1,10 +1,12 @@
 """Plots, the dt-split, t-integration, the transfer map, and the
 transported product, pinned by hand-computed instances."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import pathforms.pathspace as pathspace
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import GeneralizedForm, pair_encode
 from pathforms.koszul import KoszulParams
@@ -30,6 +32,7 @@ from pathforms.polyring import MismatchError, Poly
 
 X1 = Chart(("x1",))
 X2 = Chart(("x1", "x2"))
+X3 = Chart(("x1", "x2", "x3"))
 U1 = Chart(("u1",))
 U2 = Chart(("u1", "u2"))
 
@@ -242,7 +245,6 @@ def test_eval_diff_and_wedge_nodes():
 
 def test_wedge_prime_routes_agree_on_volume_instance():
     # a = z dz, b = y dx + (dx^dy) z over R^3; x = t u1, y = t u2, z = t^2
-    X3 = Chart(("x1", "x2", "x3"))
     a = pair_encode(dx(X3, 2).scale(X3.var(2)), OrdinaryForm.zero(X3), 1)
     b = pair_encode(dx(X3, 0).scale(X3.var(1)), dx(X3, 0).wedge(dx(X3, 1)), 1)
     cyl = ("t", "u1", "u2")
@@ -251,6 +253,67 @@ def test_wedge_prime_routes_agree_on_volume_instance():
     expected = dx(U2, 0).wedge(dx(U2, 1)).scale(Fraction(-1, 3))
     assert eval_pathform(wedge_prime(a, b), plot) == expected
     assert eval_pathform(wedge_prime_explicit(a, b), plot) == expected
+
+
+def cross_term_cases() -> list[tuple[GeneralizedForm, GeneralizedForm, Plot]]:
+    """(a, b, plot) with p = q = 1 on a 3-dim chart and a 2-dim domain, where
+    the cross term Chen(a_2 ^ b_1) of wedge_prime_explicit is nonzero on the
+    plot; in the second every term of the explicit formula is."""
+    cyl = ("t", "u1", "u2")
+    t, u1, u2 = (Poly.var(cyl, name) for name in cyl)
+    x1, x2, x3 = (X3.var(i) for i in range(3))
+    return [
+        (
+            pair_encode(dx(X3, 0).scale(x2), dx(X3, 1, 2), 2),
+            pair_encode(dx(X3, 0).scale(x1) + dx(X3, 2), dx(X3, 1, 2).scale(x3), 2),
+            Plot(X3, U2, (t * u1, t * u2 + u1, t * t)),
+        ),
+        (
+            pair_encode(
+                dx(X3, 1) + dx(X3, 2).scale(x1), dx(X3, 0, 1).scale(x3), Fraction(-1, 3)
+            ),
+            pair_encode(dx(X3, 2).scale(x2) + dx(X3, 0), dx(X3, 0, 2), Fraction(-1, 3)),
+            Plot(X3, U2, (u1 + t * u2, t * t * u1, t + u2)),
+        ),
+    ]
+
+
+# the cross term a_{p+1} b_q and its sign (-1)^q in wedge_prime_explicit,
+# and two mutations of that line
+CROSS_TERM = "combo = combo + (cross if q % 2 == 0 else -cross)"
+CROSS_MUTATIONS = {
+    "flip_cross_sign": "combo = combo + (-cross if q % 2 == 0 else cross)",
+    "drop_cross_term": "combo = combo",
+}
+
+
+def explicit_mismatch(a, b, plot) -> OrdinaryForm:
+    """wedge_prime minus wedge_prime_explicit on the plot: zero when the
+    explicit formula is right."""
+    product = eval_pathform(pathspace.wedge_prime(a, b), plot)
+    return product - eval_pathform(pathspace.wedge_prime_explicit(a, b), plot)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_wedge_prime_explicit_cross_term_cases(case):
+    a, b, plot = cross_term_cases()[case]
+    assert (a.degree(), b.degree()) == (1, 1)
+    cross = a.component((0,)).wedge(b.component(()))
+    assert not eval_pathform(chen(cross), plot).is_zero
+    assert explicit_mismatch(a, b, plot).is_zero
+
+
+@pytest.mark.parametrize("mutation", CROSS_MUTATIONS)
+def test_wedge_prime_explicit_cross_term_mutations_are_flagged(mutation, monkeypatch):
+    source = inspect.getsource(pathspace.wedge_prime_explicit)
+    assert source.count(CROSS_TERM) == 1
+    namespace = dict(vars(pathspace))
+    mutant = source.replace(CROSS_TERM, CROSS_MUTATIONS[mutation])
+    exec(compile(mutant, pathspace.__file__, "exec"), namespace)
+    name = "wedge_prime_explicit"
+    monkeypatch.setattr(pathspace, name, namespace[name])
+    for a, b, plot in cross_term_cases():
+        assert not explicit_mismatch(a, b, plot).is_zero
 
 
 def test_wedge_prime_differs_from_pointwise_wedge():

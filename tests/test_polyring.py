@@ -127,6 +127,20 @@ def test_as_fraction_takes_only_ints_and_fractions(value):
     assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("value", [True, False, "1/2", 0.5, Poly.const(("x",), 1)])
+def test_const_rejects_non_rationals(value):
+    with pytest.raises(TypeError):
+        Poly.const(("x",), value)
+
+
+def test_const_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="duplicate"):
+        Poly.const(("x", "x"), 1)
+    half = Poly(("x", "y"), {(0, 0): Fraction(1, 2)})
+    assert Poly.const(("x", "y"), Fraction(2, 4)) == half
+    assert Poly.const(("x",), 0) == Poly.zero(("x",))
+
+
 def test_string_coefficient_rejected():
     with pytest.raises(TypeError):
         Poly(("x",), {(1,): "1/2"})

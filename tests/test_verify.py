@@ -2,6 +2,8 @@
 their config, and catch planted bugs."""
 
 import hashlib
+import itertools
+from dataclasses import astuple
 
 import pytest
 
@@ -9,9 +11,11 @@ import pathforms.serialize
 import pathforms.verify
 from pathforms.forms import OrdinaryForm
 from pathforms.generalized import GeneralizedForm
+from pathforms.koszul import KoszulElement
 from pathforms.pathspace import Plot
 from pathforms.polyring import Poly
 from pathforms.serialize import (
+    default_target_chart,
     dumps,
     form_from_doc,
     gen_from_doc,
@@ -24,7 +28,17 @@ from pathforms.verify import (
     ALL_SUITES,
     COEFF_BOUND,
     GenConfig,
+    _rng,
     gen_random,
+    rand_form,
+    rand_form_mixed,
+    rand_genform,
+    rand_genform_mixed,
+    rand_koszul,
+    rand_koszul_mixed,
+    rand_koszul_params,
+    rand_plot,
+    rand_poly,
     run_all,
     run_suite,
 )
@@ -184,6 +198,66 @@ def test_generated_instances_respect_bounds():
         plot = gen_random("plot", cfg, index=i)
         assert 1 <= plot.domain.dim <= cfg.plot_dim
         assert plot.target.dim == cfg.chart_dim
+
+
+# The generators build values through the trusted constructors, which
+# check nothing; each value must equal, and hash like, its rebuild through
+# the checked public constructors.
+TRUSTED_CONFIGS = [
+    GenConfig(seed=seed, chart_dim=c, poly_deg=d, plot_dim=m)
+    for seed, (c, d, m) in enumerate(
+        itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2))
+    )
+]
+
+
+def _checked_rebuild(value):
+    if isinstance(value, Poly):
+        return Poly(value.variables, dict(value.terms))
+    if isinstance(value, OrdinaryForm):
+        comps = {i: _checked_rebuild(p) for i, p in value.components.items()}
+        return OrdinaryForm(value.chart, comps)
+    if isinstance(value, KoszulElement):
+        return KoszulElement(value.params, dict(value.terms))
+    if isinstance(value, GeneralizedForm):
+        comps = {i: _checked_rebuild(f) for i, f in value.components.items()}
+        return GeneralizedForm(value.chart, value.params, comps)
+    assert isinstance(value, Plot)
+    comps = tuple(_checked_rebuild(p) for p in value.components)
+    return Plot(value.target, value.domain, comps)
+
+
+def _assert_canonical(value):
+    rebuilt = _checked_rebuild(value)
+    assert rebuilt == value
+    assert hash(rebuilt) == hash(value)
+
+
+@pytest.mark.parametrize("cfg", TRUSTED_CONFIGS, ids=lambda cfg: str(astuple(cfg)))
+def test_gen_random_values_match_their_checked_rebuild(cfg):
+    for kind in ("poly", "form", "genform", "plot"):
+        for index in range(6):
+            _assert_canonical(gen_random(kind, cfg, index=index))
+
+
+@pytest.mark.parametrize("cfg", TRUSTED_CONFIGS, ids=lambda cfg: str(astuple(cfg)))
+def test_generators_match_their_checked_rebuild(cfg):
+    chart = default_target_chart(cfg.chart_dim)
+    for index in range(4):
+        rng = _rng(cfg, "trusted", index)
+        params = rand_koszul_params(rng, cfg)
+        drawn = [
+            rand_poly(rng, chart.coordinates, cfg),
+            rand_form(rng, chart, cfg),
+            rand_form_mixed(rng, chart, cfg),
+            rand_koszul(rng, params, cfg),
+            rand_koszul_mixed(rng, params, cfg),
+            rand_genform(rng, chart, params, cfg),
+            rand_genform_mixed(rng, chart, params, cfg),
+            rand_plot(rng, chart, cfg),
+        ]
+        for value in drawn:
+            _assert_canonical(value)
 
 
 def test_form_docs_round_trip_through_failure_records():
