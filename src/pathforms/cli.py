@@ -123,10 +123,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     except ValueError as e:
         # a flag value out of range is a usage error, like a malformed one
         raise ParseError(str(e)) from e
-    if args.suite == "all":
-        reports = run_all(cfg)
-    else:
-        reports = [run_suite(args.suite, cfg)]
+    reports = run_all(cfg) if args.suite == "all" else [run_suite(args.suite, cfg)]
     passed = all(r.passed for r in reports)
     doc = {"passed": passed, "reports": [r.to_doc() for r in reports]}
     return doc, 0 if passed else 1
@@ -172,14 +169,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, status = args.handler(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return PARSE_ERROR
     except ValueError as e:
-        # parsed fine, but the operands do not fit together (a MismatchError)
-        # or are outside the operation's domain
+        # a ParseError, or operands that parsed fine but do not fit together
+        # (a MismatchError) or are outside the operation's domain
         print(f"error: {e}", file=sys.stderr)
-        return MISMATCH_ERROR
+        return PARSE_ERROR if isinstance(e, ParseError) else MISMATCH_ERROR
     text = dumps(doc)
     if args.out:
         Path(args.out).write_text(text)

@@ -28,10 +28,9 @@ one int multiply, and no Fraction is normalised per term product; the
 tuple-keyed Fraction view is built once, when first read.
 
 The zero polynomial has no terms.  Constructors strip zero coefficients
-and sort exponent keys, so two polynomials over the same variable list
-are equal exactly when their terms are equal, and equality is plain
-structural comparison.  All arithmetic is exact; nothing here ever
-rounds.
+and keep keys in the order computed; `terms` sorts them.  Equality
+compares the dicts and the hash a frozenset of their items, so neither
+sees that order.  All arithmetic is exact; nothing here ever rounds.
 
 Variable lists are explicit and ordered.  Mixing polynomials over
 different variable lists raises MismatchError, never an implicit union:
@@ -140,9 +139,8 @@ class Poly:
             if c:
                 clean[key] = c
         den = lcm(*[c.denominator for c in clean.values()])
-        items = sorted(clean.items())
         self.variables = names
-        self._nums = {k: c.numerator * (den // c.denominator) for k, c in items}
+        self._nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
         self._terms = None
 
@@ -151,9 +149,10 @@ class Poly:
         cls, variables: tuple[str, ...], nums: dict[int, int], den: int = 1
     ) -> Poly:
         """The trusted constructor for results computed from canonical
-        operands: drops zero numerators, sorts keys and reduces the common
-        denominator (which must be positive), but re-validates nothing."""
-        nums = {e: n for e, n in sorted(nums.items()) if n}
+        operands: takes ownership of `nums`, drops its zeros and reduces the
+        common denominator (which must be positive); validates nothing."""
+        if not all(nums.values()):
+            nums = {e: n for e, n in nums.items() if n}
         if den != 1:
             if not nums:
                 den = 1
@@ -171,12 +170,12 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only mapping of exponent tuples to nonzero Fractions."""
+        """Read-only mapping of exponent tuples to nonzero Fractions, sorted."""
         view = self._terms
         if view is None:
             den, count = self._den, len(self.variables)
             view = MappingProxyType(
-                {_unpack(key, count): Fraction(n, den) for key, n in self._nums.items()}
+                {_unpack(key, count): Fraction(n, den) for key, n in sorted(self._nums.items())}
             )
             self._terms = view
         return view
@@ -225,7 +224,7 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.variables, self._den, tuple(self._nums.items())))
+        return hash((self.variables, self._den, frozenset(self._nums.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -398,12 +397,8 @@ class Poly:
                 for v, n in zip(self.variables, exps)
                 if n
             ]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            elif coeff == -1:
-                parts.append("-" + "*".join(factors))
+            if factors and abs(coeff) == 1:
+                parts.append(("-" if coeff < 0 else "") + "*".join(factors))
             else:
                 parts.append("*".join([str(coeff)] + factors))
         return " + ".join(parts).replace("+ -", "- ")

@@ -105,7 +105,7 @@ def _render(value: Any, newline: str, emit: Callable[[str], Any]) -> None:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad syntax, or an integer past int()'s digit limit
         raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError as e:
         raise ParseError("invalid JSON: nested too deeply") from e
@@ -163,10 +163,12 @@ def _expect(doc: Any, kind: type, what: str) -> Any:
     return doc
 
 
-def _count(doc: Any, what: str) -> int:
-    """doc, if it is a nonnegative integer."""
+def _count(doc: Any, what: str, limit: int | None = None) -> int:
+    """doc, if it is a nonnegative integer, and at most limit if one is given."""
     if _expect(doc, int, what) < 0:
         raise ParseError(f"expected a nonnegative {what}, got {doc}")
+    if limit is not None and doc > limit:
+        raise ParseError(f"{what} is {doc}, above the limit of {limit}")
     return doc
 
 
@@ -174,8 +176,9 @@ def _entries(
     mapping: Mapping[tuple[int, ...], Any], key: str, value: str, encode: Callable
 ) -> list:
     """The document of a mapping from index tuples: a list of
-    {key: [ints], value: encoded value} objects, in the mapping's order."""
-    return [{key: list(indices), value: encode(v)} for indices, v in mapping.items()]
+    {key: [ints], value: encoded value} objects, by length, then index."""
+    items = sorted(mapping.items(), key=lambda item: (len(item[0]), item[0]))
+    return [{key: list(indices), value: encode(v)} for indices, v in items]
 
 
 def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
@@ -309,12 +312,18 @@ def plot_to_doc(plot: Plot) -> dict:
     }
 
 
+#: The largest dimension a plot document may declare for its domain (m) or
+#: target: it names charts by dimension alone, so a few bytes could ask for
+#: millions of coordinates.  The Python API takes charts of any size.
+MAX_CHART_DIM = 16
+
+
 def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
     """Parse a plot, inventing coordinate names (t, u1..um, x1..xN)
     unless a target chart of the declared dimension is supplied."""
     obj = _expect(doc, dict, "a plot")
-    m = _count(obj.get("m"), "dimension m")
-    target_dim = _count(obj.get("target_dim"), "dimension target_dim")
+    m = _count(obj.get("m"), "dimension m", MAX_CHART_DIM)
+    target_dim = _count(obj.get("target_dim"), "dimension target_dim", MAX_CHART_DIM)
     if target is None:
         target = default_target_chart(target_dim)
     elif target.dim != target_dim:

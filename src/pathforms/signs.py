@@ -74,17 +74,12 @@ def checked_indices(indices: Any, generators: int) -> tuple[int, ...]:
     return idx
 
 
-def _monomial_order(item: tuple[tuple[int, ...], Any]) -> tuple[int, tuple[int, ...]]:
-    return len(item[0]), item[0]
-
-
 def _store(components: Mapping[tuple[int, ...], Any]) -> Mapping[tuple[int, ...], Any]:
-    """The canonical storage: nonzero coefficients only, sorted by length
-    and then by index, behind a read-only view."""
-    kept = [item for item in components.items() if item[1]]
-    if len(kept) > 1:
-        kept.sort(key=_monomial_order)
-    return MappingProxyType(dict(kept))
+    """The canonical storage, which owns the mapping it is given: nonzero
+    coefficients only, in the order given, behind a read-only view."""
+    if not all(components.values()):
+        components = {i: c for i, c in components.items() if c}
+    return MappingProxyType(components)
 
 
 class SignedMonomials:
@@ -98,7 +93,8 @@ class SignedMonomials:
     A subclass fixes the context its values live in, checks coefficients
     (`_checked`), multiplies them (`_times`) and defines its own `d`.
     `components` is a read-only mapping from index tuples to nonzero
-    coefficients; values of one context hash consistently with `==`.
+    coefficients that iterates in no fixed order; values of one context
+    hash consistently with `==`, which ignores that order.
     """
 
     __slots__ = ("_context", "components")
@@ -127,7 +123,7 @@ class SignedMonomials:
     @classmethod
     def _trusted(cls, context: Any, components: Mapping[tuple[int, ...], Any]):
         """The trusted constructor for indices and coefficients the checked
-        one would accept unchanged: drops zeros and sorts, checks nothing."""
+        one would accept unchanged: owns the mapping, drops zeros, checks nothing."""
         out = object.__new__(cls)
         out._context = context
         out.components = _store(components)
@@ -154,7 +150,7 @@ class SignedMonomials:
         ) and self.components == other.components
 
     def __hash__(self) -> int:
-        return hash((self._context, tuple(self.components.items())))
+        return hash((self._context, frozenset(self.components.items())))
 
     def degrees(self) -> set[int]:
         """The set of degrees with a nonzero term."""
@@ -170,20 +166,14 @@ class SignedMonomials:
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous value; None for zero, error when mixed."""
         degs = self.degrees()
-        if not degs:
-            return None
         if len(degs) > 1:
             raise ValueError(f"element mixes degrees {sorted(degs)}")
-        return degs.pop()
+        return degs.pop() if degs else None
 
     def is_homogeneous(self, degree: Optional[int] = None) -> bool:
         """Zero counts as homogeneous of every degree."""
         degs = self.degrees()
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+        return len(degs) < 2 and (degree is None or degs <= {degree})
 
     def part(self, degree: int):
         """The homogeneous piece of the given degree (zero when absent)."""
@@ -276,11 +266,8 @@ class SignedMonomials:
         return self._new(acc)
 
     def __repr__(self) -> str:
-        name = type(self).__name__
-        if not self.components:
-            return f"{name}(0)"
         parts = []
-        for indices, coeff in self.components.items():
+        for indices, coeff in sorted(self.components.items(), key=lambda i: (len(i[0]), i[0])):
             text = repr(coeff) if isinstance(coeff, SignedMonomials) else f"({coeff})"
             parts.append(f"{text}*{self.SYMBOL}{list(indices)}" if indices else text)
-        return f"{name}(" + " + ".join(parts) + ")"
+        return f"{type(self).__name__}({' + '.join(parts) or 0})"

@@ -16,7 +16,10 @@ suite that cannot flag a planted bug proves nothing when it passes.
 
 Generators build their canonical values directly, through the trusted
 constructors.  tests/golden/suite_digests.json pins the draw order: each
-polynomial term draws its coefficient before its exponents.
+polynomial term draws its coefficient before its exponents.  `_randint`
+draws integers as CPython 3.11's randint does, from getrandbits, in one
+Python call where randint makes three; its draws rest on the Mersenne
+Twister stream alone, not on randint's algorithm, which Python may change.
 """
 
 from __future__ import annotations
@@ -98,10 +101,21 @@ def _rng(cfg: GenConfig, label: str, index: int) -> random.Random:
 # -- random instances ----------------------------------------------------------
 
 
+def _randint(rng: random.Random, low: int, high: int) -> int:
+    """rng.randint(low, high) for low <= high, drawn the same way: k =
+    n.bit_length() bits for the n values, redrawn while they read n or more."""
+    n = high - low + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return low + r
+
+
 def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
         value = Fraction(
-            rng.randint(-COEFF_BOUND, COEFF_BOUND), rng.randint(1, COEFF_BOUND)
+            _randint(rng, -COEFF_BOUND, COEFF_BOUND), _randint(rng, 1, COEFF_BOUND)
         )
         if value != 0 or not nonzero:
             return value
@@ -114,13 +128,13 @@ def rand_poly(rng: random.Random, variables: tuple[str, ...], cfg: GenConfig) ->
     count = len(variables)
     units = [1 << s for s in range(_W * (count - 1), -1, -_W)]
     nums: dict[int, int] = {}
-    for _ in range(rng.randint(0, 3)):
-        num = rng.randint(-COEFF_BOUND, COEFF_BOUND)
-        num *= _COMMON_DEN // rng.randint(1, COEFF_BOUND)
+    for _ in range(_randint(rng, 0, 3)):
+        num = _randint(rng, -COEFF_BOUND, COEFF_BOUND)
+        num *= _COMMON_DEN // _randint(rng, 1, COEFF_BOUND)
         key = 0
         if count:
-            for _ in range(rng.randint(0, cfg.poly_deg)):
-                key += units[rng.randrange(count)]
+            for _ in range(_randint(rng, 0, cfg.poly_deg)):
+                key += units[_randint(rng, 0, count - 1)]
         nums[key] = num
     return Poly._make(variables, nums, _COMMON_DEN)
 
@@ -132,13 +146,13 @@ def _rand_monomials(rng: random.Random, n: int, size: int, coeff: Callable) -> d
         return {}
     return {
         tuple(sorted(rng.sample(range(n), size))): coeff()
-        for _ in range(rng.randint(1, 2))
+        for _ in range(_randint(rng, 1, 2))
     }
 
 
 def _sum_of_draws(rng: random.Random, zero, draw: Callable):
     """The sum of one or two draws, an inhomogeneous element in general."""
-    return sum((draw() for _ in range(rng.randint(1, 2))), zero)
+    return sum((draw() for _ in range(_randint(rng, 1, 2))), zero)
 
 
 def rand_form(
@@ -147,7 +161,7 @@ def rand_form(
     """A random homogeneous form; zero when the degree falls outside
     [0, dim], since those graded slots hold nothing else."""
     if degree is None:
-        degree = rng.randint(0, chart.dim)
+        degree = _randint(rng, 0, chart.dim)
     coeff = lambda: rand_poly(rng, chart.coordinates, cfg)
     return OrdinaryForm._trusted(chart, _rand_monomials(rng, chart.dim, degree, coeff))
 
@@ -161,7 +175,7 @@ def rand_koszul_params(
     rng: random.Random, cfg: GenConfig, n: Optional[int] = None, nonzero: bool = False
 ) -> KoszulParams:
     if n is None:
-        n = rng.randint(1, cfg.koszul_n)
+        n = _randint(rng, 1, cfg.koszul_n)
     return KoszulParams(tuple(rand_fraction(rng, nonzero=nonzero) for _ in range(n)))
 
 
@@ -173,7 +187,7 @@ def rand_koszul(
 ) -> KoszulElement:
     """A random homogeneous element of degree -s; zero outside [-n, 0]."""
     if degree is None:
-        degree = -rng.randint(0, params.n)
+        degree = -_randint(rng, 0, params.n)
     terms = _rand_monomials(rng, params.n, -degree, lambda: rand_fraction(rng))
     return KoszulElement._trusted(params, terms)
 
@@ -194,7 +208,7 @@ def rand_genform(
 ) -> GeneralizedForm:
     """A random homogeneous generalized form of the given total degree."""
     if degree is None:
-        degree = rng.randint(-params.n, chart.dim)
+        degree = _randint(rng, -params.n, chart.dim)
     components: dict[tuple[int, ...], OrdinaryForm] = {}
     for size in range(params.n + 1):
         ordinary = degree + size
@@ -215,7 +229,7 @@ def rand_genform_mixed(
 
 
 def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:
-    m = rng.randint(1, cfg.plot_dim)
+    m = _randint(rng, 1, cfg.plot_dim)
     domain = default_domain_chart(m)
     cylinder = (Plot.time,) + domain.coordinates
     components = tuple(rand_poly(rng, cylinder, cfg) for _ in range(target.dim))
@@ -283,7 +297,7 @@ def _leibniz(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     """d(ab) == (da)b + (-1)^p a(db) in each algebra."""
     params = rand_koszul_params(rng, cfg)
     for prefix, _, times, span, element, _ in _algebras(rng, chart, params, cfg):
-        p, q = rng.randint(*span), rng.randint(*span)
+        p, q = _randint(rng, *span), _randint(rng, *span)
         a, b = element(p), element(q)
         term = times(a, b.d())
         rhs = times(a.d(), b) + (term if p % 2 == 0 else -term)
@@ -296,7 +310,7 @@ def _supercomm(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     params = rand_koszul_params(rng, cfg)
     algebras = _algebras(rng, chart, params, cfg)
     for prefix, _, times, span, element, _ in algebras:
-        p, q = rng.randint(*span), rng.randint(*span)
+        p, q = _randint(rng, *span), _randint(rng, *span)
         a, b = element(p), element(q)
         flipped = times(b, a)
         delta = times(a, b) - (flipped if (p * q) % 2 == 0 else -flipped)
@@ -307,11 +321,11 @@ def _supercomm(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
         yield f"{prefix}_assoc", delta, dict(a=a, b=b, c=c)
 
     # tensor sign rule: (a x u)(b x v) = (-1)^{|u| deg b} (a ^ b) x (uv)
-    ts = rng.randint(0, params.n)
+    ts = _randint(rng, 0, params.n)
     tu = rand_koszul(rng, params, cfg, degree=-ts)
-    tv = rand_koszul(rng, params, cfg, degree=-rng.randint(0, params.n))
-    ta = rand_form(rng, chart, cfg, degree=rng.randint(0, chart.dim))
-    tq = rng.randint(0, chart.dim)
+    tv = rand_koszul(rng, params, cfg, degree=-_randint(rng, 0, params.n))
+    ta = rand_form(rng, chart, cfg, degree=_randint(rng, 0, chart.dim))
+    tq = _randint(rng, 0, chart.dim)
     tb = rand_form(rng, chart, cfg, degree=tq)
 
     def tensor(form: OrdinaryForm, kz: KoszulElement) -> GeneralizedForm:
@@ -329,8 +343,8 @@ def _supercomm(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
 def _pair_equivalence(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     k = rand_fraction(rng, nonzero=True)
 
-    p = rng.randint(-1, chart.dim)
-    q = rng.randint(-1, chart.dim)
+    p = _randint(rng, -1, chart.dim)
+    q = _randint(rng, -1, chart.dim)
     a_p = rand_form(rng, chart, cfg, degree=p)
     a_next = rand_form(rng, chart, cfg, degree=p + 1)
     b_q = rand_form(rng, chart, cfg, degree=q)
@@ -388,8 +402,8 @@ def _kernel(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
 
 def _wedge_prime(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     params = rand_koszul_params(rng, cfg, n=1, nonzero=True)
-    p = rng.randint(1, chart.dim)
-    q = rng.randint(1, chart.dim)
+    p = _randint(rng, 1, chart.dim)
+    q = _randint(rng, 1, chart.dim)
     a = rand_genform(rng, chart, params, cfg, degree=p)
     b = rand_genform(rng, chart, params, cfg, degree=q)
     plot = rand_plot(rng, chart, cfg)
@@ -459,7 +473,7 @@ def run_suite(name: str, cfg: GenConfig, mutation: Optional[str] = None) -> Suit
     for i in range(trials):
         if cases is None:
             rng = _rng(cfg, name, i)
-            chart = default_target_chart(rng.randint(1, cfg.chart_dim))
+            chart = default_target_chart(_randint(rng, 1, cfg.chart_dim))
             checks = suite(rng, chart, cfg, mutation)
         else:
             checks = suite(cases[i], cfg, mutation)

@@ -25,6 +25,7 @@ from pathforms.pathspace import (
 )
 from pathforms.polyring import Poly
 from pathforms.serialize import (
+    MAX_CHART_DIM,
     dumps,
     expr_to_doc,
     form_from_doc,
@@ -317,6 +318,37 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     status, _, err = run(capsys, "d", str(path))
     assert status == 2
     assert "error:" in err
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads refuses the 5001-digit literal with a plain ValueError, even
+    # in a field no decoder reads
+    text = json.dumps(form_to_doc(dx(X2, 0)))[:-1] + ', "junk": 1' + "0" * 5000 + "}"
+    path = tmp_path / "form.json"
+    path.write_text(text)
+    status, out, err = run(capsys, "d", str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", 10_000_000), ("m", MAX_CHART_DIM + 1), ("target_dim", MAX_CHART_DIM + 1)],
+)
+def test_plot_dimension_past_the_limit_exits_2_at_once(tmp_path, capsys, field, value):
+    # read as declared, m = 10**7 builds a chart of ten million names and an
+    # error message naming each of them
+    plot = {"m": 1, "target_dim": 1, "components": [[{"coeff": "1/1", "exps": [1, 0]}]]}
+    plot[field] = value
+    fpath = write_doc(tmp_path, "form.json", form_to_doc(dx(Chart(("x1",)), 0)))
+    ppath = write_doc(tmp_path, "plot.json", plot)
+    start = time.perf_counter()
+    status, out, err = run(capsys, "chen", fpath, ppath)
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert err == (
+        f"error: dimension {field} is {value}, above the limit of {MAX_CHART_DIM}\n"
+    )
 
 
 def test_malformed_document_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ their config, and catch planted bugs."""
 
 import hashlib
 import itertools
+import random
 from dataclasses import astuple
 
 import pytest
@@ -28,6 +29,7 @@ from pathforms.verify import (
     ALL_SUITES,
     COEFF_BOUND,
     GenConfig,
+    _randint,
     _rng,
     gen_random,
     rand_form,
@@ -44,6 +46,27 @@ from pathforms.verify import (
 )
 
 SMALL = GenConfig(seed=7, trials=12)
+
+
+# range sizes 1-70, and 2**w - 1, 2**w and 2**w + 1 for bit widths w = 1-70
+RANGE_SIZES = sorted(
+    set(range(1, 71)) | {2**w + e for w in range(1, 71) for e in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_randint_draws_as_random_does(seed):
+    # the same values and the same Mersenne Twister state afterwards, so the
+    # next getrandbits agrees too
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in RANGE_SIZES:
+        low = ours.getrandbits(8) - 128
+        assert theirs.getrandbits(8) - 128 == low
+        for _ in range(3):
+            assert _randint(ours, low, low + n - 1) == theirs.randint(low, low + n - 1)
+            assert _randint(ours, 0, n - 1) == theirs.randrange(n)
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
+
 
 
 @pytest.mark.parametrize("suite", ALL_SUITES)
