@@ -2,11 +2,12 @@
 
 Every verb reads documents, computes one value, and writes one document
 to stdout (or --out).  Exit status is 0 on success, 1 when a
-verification suite reports failures, 2 when an input does not parse,
-and 3 when parsed operands do not fit together (chart or parameter
-mismatches, operands outside an operation's domain) or when a rational
-in the result has more digits than int() writes as text (4300 by
-default), which inputs inside that limit can still produce.
+verification suite reports failures, 2 when an input does not parse or
+the --out path cannot be written, and 3 when parsed operands do not fit
+together (chart or parameter mismatches, operands outside an
+operation's domain) or when a rational in the result has more digits
+than int() writes as text (4300 by default), which inputs inside that
+limit can still produce.
 """
 
 from __future__ import annotations
@@ -176,7 +177,11 @@ def main(argv=None) -> int:
         return PARSE_ERROR if isinstance(e, ParseError) else MISMATCH_ERROR
     text = dumps(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return PARSE_ERROR
     else:
         sys.stdout.write(text)
     return status

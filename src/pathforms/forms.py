@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .polyring import MismatchError, Poly, RationalLike, _MonomialTable
+from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, _distinct
 from .signs import SignedMonomials, merge_indices, sort_with_sign
 
 
@@ -29,13 +29,7 @@ class Chart:
     coordinates: tuple[str, ...]
 
     def __post_init__(self):
-        coords = tuple(self.coordinates)
-        object.__setattr__(self, "coordinates", coords)
-        for name in coords:
-            if not isinstance(name, str):
-                raise TypeError(f"coordinate names must be strings, got {name!r}")
-        if len(set(coords)) != len(coords):
-            raise ValueError(f"coordinate names must be distinct: {coords!r}")
+        object.__setattr__(self, "coordinates", _distinct(self.coordinates))
 
     @property
     def dim(self) -> int:

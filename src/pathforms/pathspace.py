@@ -1,9 +1,9 @@
 """Path-space forms probed through finite-dimensional families of paths.
 
-A plot is a polynomial family of paths: a chart U of parameters u
-together with target components in the variables (t, u), t running over
-[0, 1].  A form on path space is represented intensionally as an
-expression tree (endpoint pullbacks, first-order t-integrals, wedges,
+A plot is a polynomial family of paths: the polynomial map to the
+target from the cylinder [0, 1] x U with coordinates (t, u), U a chart
+of parameters u.  A form on path space is represented intensionally as
+an expression tree (endpoint pullbacks, first-order t-integrals, wedges,
 differentials, sums, scalings) and extensionally by its evaluation
 against plots, which is where all identities are checked.
 
@@ -39,27 +39,18 @@ def _check_endpoint(endpoint: int) -> None:
         raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
 
 
-@dataclass(frozen=True)
-class Plot:
+@dataclass(frozen=True, init=False)
+class Plot(PolyMap):
     """A polynomial family of paths [0,1] -> target, parametrized by a
-    domain chart; components are Polys over (time, domain coordinates)."""
+    domain chart: the map to the target from the cylinder chart
+    (time, u_1, ..., u_m), its source, over which the components live."""
 
-    target: Chart
     domain: Chart
-    components: tuple[Poly, ...]
     time: ClassVar[str] = "t"
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        self.as_map()  # checks the cylinder's names and each component
-
-    @property
-    def cylinder(self) -> Chart:
-        """The chart (time, u_1, ..., u_m) the family is defined over."""
-        return Chart((self.time,) + self.domain.coordinates)
-
-    def as_map(self) -> PolyMap:
-        return PolyMap(self.cylinder, self.target, self.components)
+    def __init__(self, target: Chart, domain: Chart, components: tuple[Poly, ...]):
+        object.__setattr__(self, "domain", domain)
+        super().__init__(Chart((self.time,) + domain.coordinates), target, components)
 
     def endpoint_map(self, endpoint: int) -> PolyMap:
         """The map U -> target obtained by freezing time at 0 or 1."""
@@ -109,7 +100,7 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     functions go to 0 because their pullback has no dt part.  A form off
     the plot's target is refused by the pullback.
     """
-    pulled = _DtPart(plot.cylinder, plot.target, plot.components).pullback(form)
+    pulled = _DtPart(plot.source, plot.target, plot.components).pullback(form)
     # each kept component is dt ^ du_J (time is cylinder coordinate 0): no sign
     out: dict[tuple[int, ...], Poly] = {}
     for indices, poly in pulled.components.items():

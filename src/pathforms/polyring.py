@@ -71,10 +71,14 @@ def _guard(count: int) -> int:
 
 
 def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
-    """The variable names as a tuple; a repeated name is rejected."""
+    """The names of a Poly's variables or a Chart's coordinates as a tuple:
+    a name that is not a str is a TypeError, a repeated name a ValueError."""
     names = tuple(variables)
+    for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"names must be strings, got {name!r}")
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names: {names!r}")
+        raise ValueError(f"names must be distinct, got duplicate names: {names!r}")
     return names
 
 

@@ -25,7 +25,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from .forms import Chart, OrdinaryForm
 from .generalized import GeneralizedForm
@@ -403,51 +403,51 @@ _NODES = {cls.__name__: cls for cls in (EvPull, Chen, Wedge, Diff, Sum, Scale)}
 MAX_EXPR_DEPTH = 200
 
 
-def _depth(root: Any, fields_of: Callable[[Any], Iterable], is_node: Callable) -> int:
-    """The most nodes below root on a path down to a leaf, counted level by
-    level without recursion.  A node's children are the values of its
-    fields, and the items of its list or tuple fields, that are nodes."""
-    depth, level = -1, [root]
-    while level:
-        depth += 1
-        level = [
-            child
-            for node in level
-            for value in fields_of(node)
-            for child in (value if isinstance(value, (list, tuple)) else (value,))
-            if is_node(child)
-        ]
-    return depth
-
-
 def expr_to_doc(expr: PathFormExpr) -> dict:
+    return _expr_to_doc(expr, MAX_EXPR_DEPTH)
+
+
+def _expr_to_doc(expr: PathFormExpr, depth: int) -> dict:
+    """expr's document, where at most `depth` more levels may sit below it."""
     name = type(expr).__name__
     if _NODES.get(name) is not type(expr):
         raise TypeError(f"not a path-form expression: {expr!r}")
-    depth = _depth(
-        expr,
-        lambda node: [getattr(node, field.name) for field in fields(node)],
-        lambda value: isinstance(value, PathFormExpr),
-    )
-    if depth > MAX_EXPR_DEPTH:
+    if depth < 0:
         raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     doc: dict[str, Any] = {"node": name}
     for field in fields(expr):
-        doc[field.name] = to_doc(getattr(expr, field.name))
+        value = getattr(expr, field.name)
+        if field.type == "PathFormExpr":
+            doc[field.name] = _expr_to_doc(value, depth - 1)
+        elif field.type == "tuple[PathFormExpr, ...]":
+            doc[field.name] = [_expr_to_doc(child, depth - 1) for child in value]
+        else:
+            doc[field.name] = to_doc(value)
     return doc
 
 
 def expr_from_doc(doc: Any) -> PathFormExpr:
-    try:
-        obj = _expect(doc, dict, "an expression")
-        depth = _depth(obj, dict.values, lambda value: isinstance(value, dict) and "node" in value)
-        if depth > MAX_EXPR_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-        node = obj.get("node")
-        cls = _NODES.get(node) if isinstance(node, str) else None
-        if cls is None:
-            raise ParseError(f"unknown expression node {node!r}")
-        args = [from_doc(field.type, obj.get(field.name)) for field in fields(cls)]
-        return _construct(cls, *args)
-    except RecursionError as e:
-        raise ParseError("expression nested too deeply") from e
+    return _expr_from_doc(doc, MAX_EXPR_DEPTH)
+
+
+def _expr_from_doc(doc: Any, depth: int) -> PathFormExpr:
+    """The expression of doc, where at most `depth` more levels may sit
+    below it."""
+    obj = _expect(doc, dict, "an expression")
+    if depth < 0:
+        raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+    node = obj.get("node")
+    cls = _NODES.get(node) if isinstance(node, str) else None
+    if cls is None:
+        raise ParseError(f"unknown expression node {node!r}")
+    args = []
+    for field in fields(cls):
+        value = obj.get(field.name)
+        if field.type == "PathFormExpr":
+            args.append(_expr_from_doc(value, depth - 1))
+        elif field.type == "tuple[PathFormExpr, ...]":
+            items = _expect(value, list, "expressions")
+            args.append(tuple([_expr_from_doc(item, depth - 1) for item in items]))
+        else:
+            args.append(from_doc(field.type, value))
+    return _construct(cls, *args)

@@ -45,7 +45,7 @@ from .pathspace import (
     wedge_prime_explicit,
 )
 from .polyring import _W, Poly, as_int_tuple
-from .serialize import default_domain_chart, default_target_chart, to_doc
+from .serialize import MAX_CHART_DIM, default_domain_chart, default_target_chart, to_doc
 from .witnesses import Witness, injectivity_witnesses
 
 
@@ -72,6 +72,10 @@ class GenConfig:
         for name in ("chart_dim", "plot_dim", "poly_deg", "koszul_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("chart_dim", "plot_dim"):
+            if getattr(self, name) > MAX_CHART_DIM:
+                # a failure record's plot document could not be read back
+                raise ValueError(f"{name} is above the limit of {MAX_CHART_DIM}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
 

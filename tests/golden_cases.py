@@ -306,8 +306,8 @@ def case_pair_decode() -> dict:
 
 def case_decompose() -> dict:
     plot = _line_plot()
-    cyl = plot.cylinder
-    pulled = plot.as_map().pullback(dx(X1, 0))
+    cyl = plot.source
+    pulled = plot.pullback(dx(X1, 0))
     wdot, wbar = decompose(pulled, "t")
     assert wdot == OrdinaryForm.from_poly(cyl, cyl.var(1))
     assert wbar == dx(cyl, 1).scale(cyl.var(0))
@@ -350,7 +350,7 @@ def case_ev_pullback() -> dict:
     squared = ev_pullback(1, OrdinaryForm.from_poly(X1, X1.var(0) * X1.var(0)), plot)
     assert squared == OrdinaryForm.from_poly(U1, U1.var(0) * U1.var(0))
     w = dx(X1, 0).scale(X1.var(0))
-    _, wbar = decompose(plot.as_map().pullback(w), "t")
+    _, wbar = decompose(plot.pullback(w), "t")
     for endpoint in (0, 1):
         frozen = OrdinaryForm(
             U1,

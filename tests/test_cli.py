@@ -274,6 +274,26 @@ def test_verify_flag_out_of_range_exits_2(capsys, flag, value, message):
     assert (status, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_verify_dimension_above_the_plot_document_limit_exits_2(capsys):
+    # its failure records would hold plots that plot_from_doc refuses
+    status, out, err = run(capsys, "verify", "--plot-dim", "17", "--trials", "1")
+    assert (status, out) == (2, "")
+    assert err == "error: plot_dim is above the limit of 16\n"
+
+
+@pytest.mark.parametrize("where", ["missing/result.json", "."])
+@pytest.mark.parametrize("verb", ["d", "verify"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, where, verb):
+    # a missing directory or a directory itself: for verify, exit 1 would
+    # read as a failed suite
+    fpath = write_doc(tmp_path, "form.json", form_to_doc(dx(X2, 0)))
+    argv = {"d": ["d", fpath], "verify": ["verify", "--suite", "kernel", "--trials", "1"]}
+    out_path = str(tmp_path / where)
+    status, out, err = run(capsys, *argv[verb], "--out", out_path)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_verbs_look_operations_up_at_call_time(tmp_path, capsys, monkeypatch):
     # a verb must call the name cli holds when it runs, as the benchmark's
     # tracer replaces those names after import

@@ -219,7 +219,7 @@ def test_random_pullback_commutes_with_d_and_wedge():
         rng = _rng(CFG, "forms-pullback", i)
         chart = default_target_chart(rng.randint(1, CFG.chart_dim))
         plot = rand_plot(rng, chart, CFG)
-        m = plot.as_map()
+        m = plot
         a = rand_form_mixed(rng, chart, CFG)
         b = rand_form_mixed(rng, chart, CFG)
         assert m.pullback(a.d()) == m.pullback(a).d()

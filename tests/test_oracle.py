@@ -183,7 +183,7 @@ def pullback_by_each_dm(source: Chart, images: tuple[Poly, ...], form: OrdinaryF
 
 
 def chen_by_definition(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
-    pulled = pullback_by_each_dm(plot.cylinder, plot.components, form)
+    pulled = pullback_by_each_dm(plot.source, plot.components, form)
     wdot, _ = decompose(pulled, plot.time)
     out = {}
     for indices, poly in wdot.components.items():
@@ -230,7 +230,7 @@ def random_cases():
 
 @pytest.mark.parametrize("form, plot", list(random_cases()))
 def test_pullback_and_chen_match_wedge_by_each_dm(form, plot):
-    assert plot.as_map().pullback(form) == pullback_by_each_dm(plot.cylinder, plot.components, form)
+    assert plot.pullback(form) == pullback_by_each_dm(plot.source, plot.components, form)
     assert chen_integral(form, plot) == chen_by_definition(form, plot)
     for endpoint in (0, 1):
         frozen = plot.endpoint_map(endpoint)

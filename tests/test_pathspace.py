@@ -2,12 +2,16 @@
 transported product, pinned by hand-computed instances."""
 
 import inspect
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from golden_cases import CASES
 import pathforms.pathspace as pathspace
-from pathforms.forms import Chart, OrdinaryForm, dx
+from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
 from pathforms.generalized import GeneralizedForm, pair_encode
 from pathforms.koszul import KoszulParams
 from pathforms.pathspace import (
@@ -29,6 +33,9 @@ from pathforms.pathspace import (
     zero_expr,
 )
 from pathforms.polyring import MismatchError, Poly
+from pathforms.serialize import dumps
+from pathforms.signs import SignedMonomials
+from pathforms.verify import ALL_SUITES, GenConfig, run_suite
 
 X1 = Chart(("x1",))
 X2 = Chart(("x1", "x2"))
@@ -63,9 +70,9 @@ def curve_plot() -> Plot:
 
 def test_decompose_of_line_pullback():
     plot = line_plot()
-    pulled = plot.as_map().pullback(dx(X1, 0))  # u dt + t du
+    pulled = plot.pullback(dx(X1, 0))  # u dt + t du
     wdot, wbar = decompose(pulled, "t")
-    cyl = plot.cylinder
+    cyl = plot.source
     assert wdot == OrdinaryForm.from_poly(cyl, tpoly(cyl.coordinates, "u1"))
     assert wbar == dx(cyl, 1).scale(tpoly(cyl.coordinates, "t"))
 
@@ -126,7 +133,7 @@ def test_ev_pullback_endpoints():
 def test_ev_pullback_matches_frozen_split():
     plot = curve_plot()
     w = dx(X2, 1).scale(X2.var(0))  # x1 dx2
-    pulled = plot.as_map().pullback(w)
+    pulled = plot.pullback(w)
     _, wbar = decompose(pulled, "t")
     for endpoint in (0, 1):
         # freeze t in wbar by hand and compare
@@ -278,13 +285,16 @@ def cross_term_cases() -> list[tuple[GeneralizedForm, GeneralizedForm, Plot]]:
     ]
 
 
-# the cross term a_{p+1} b_q and its sign (-1)^q in wedge_prime_explicit,
-# and two mutations of that line
-CROSS_TERM = "combo = combo + (cross if q % 2 == 0 else -cross)"
-CROSS_MUTATIONS = {
-    "flip_cross_sign": "combo = combo + (-cross if q % 2 == 0 else cross)",
-    "drop_cross_term": "combo = combo",
-}
+def front_term_case() -> tuple[GeneralizedForm, GeneralizedForm, Plot]:
+    """(a, b, plot) with p = q = 1 on which the endpoint terms
+    ev_1^*(a_p b_q) - ev_0^*(a_p b_q) of wedge_prime_explicit are nonzero."""
+    cyl = ("t", "u1", "u2")
+    t, u1, u2 = (Poly.var(cyl, name) for name in cyl)
+    return (
+        pair_encode(dx(X3, 0), OrdinaryForm.zero(X3), 2),
+        pair_encode(dx(X3, 1).scale(X3.var(0)), dx(X3, 1, 2), 2),
+        Plot(X3, U2, (t * u1, t * u2, t)),
+    )
 
 
 def explicit_mismatch(a, b, plot) -> OrdinaryForm:
@@ -303,17 +313,173 @@ def test_wedge_prime_explicit_cross_term_cases(case):
     assert explicit_mismatch(a, b, plot).is_zero
 
 
-@pytest.mark.parametrize("mutation", CROSS_MUTATIONS)
-def test_wedge_prime_explicit_cross_term_mutations_are_flagged(mutation, monkeypatch):
-    source = inspect.getsource(pathspace.wedge_prime_explicit)
-    assert source.count(CROSS_TERM) == 1
-    namespace = dict(vars(pathspace))
-    mutant = source.replace(CROSS_TERM, CROSS_MUTATIONS[mutation])
-    exec(compile(mutant, pathspace.__file__, "exec"), namespace)
-    name = "wedge_prime_explicit"
-    monkeypatch.setattr(pathspace, name, namespace[name])
-    for a, b, plot in cross_term_cases():
-        assert not explicit_mismatch(a, b, plot).is_zero
+def test_wedge_prime_explicit_front_term_case():
+    a, b, plot = front_term_case()
+    assert (a.degree(), b.degree()) == (1, 1)
+    front = a.component(()).wedge(b.component(()))
+    ends = Sum((EvPull(1, front), Scale(-1, EvPull(0, front))))
+    assert eval_pathform(ends, plot) == dx(U2, 0, 1).scale(U2.var(0))
+    assert explicit_mismatch(a, b, plot).is_zero
+
+
+# -- the mutation matrix of the closed formulas --------------------------------
+#
+# Each row plants one wrong sign or one dropped term, by rewriting one
+# source line of a function or by replacing one method, and names the
+# checks that must flag it.  A check flags a plant when it reports a
+# mismatch or raises, as its test would fail.
+
+MATRIX_CFG = GenConfig(seed=0, trials=10)
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _suite_check(name: str):
+    return lambda: not run_suite(name, MATRIX_CFG).passed
+
+
+def _golden_check(name: str):
+    return lambda: dumps(CASES[name]()) != (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def _case_check(case):
+    return lambda: not explicit_mismatch(*case()).is_zero
+
+
+CHECKS = {
+    **{f"suite:{name}": _suite_check(name) for name in ALL_SUITES},
+    **{
+        f"golden:{name}": _golden_check(name)
+        for name in ("map_I", "eval_pathform", "wedge_prime", "gen_d", "koszul_d")
+    },
+    "cross_case_0": _case_check(lambda: cross_term_cases()[0]),
+    "cross_case_1": _case_check(lambda: cross_term_cases()[1]),
+    "front_case": _case_check(front_term_case),
+}
+
+CHEN_SIGN = "coeff = k * (-1 if p % 2 == 0 else 1)"
+CROSS_TERM = "combo = combo + (cross if q % 2 == 0 else -cross)"
+KERNEL = ("suite:kernel", "suite:dI_commute", "golden:map_I")
+
+# name: (owner, attribute, (line, mutant line) or replacement, checks)
+MUTATIONS = {
+    "drop_ev1": (
+        pathspace,
+        "_transfer_terms",
+        ("terms.append(EvPull(1, w))", "pass"),
+        KERNEL
+        + ("suite:injectivity_witness", "golden:eval_pathform", "golden:wedge_prime"),
+    ),
+    "drop_ev0": (
+        pathspace,
+        "_transfer_terms",
+        ("terms.append(Scale(Fraction(-1), EvPull(0, w)))", "pass"),
+        KERNEL + ("golden:wedge_prime",),
+    ),
+    "flip_chen_sign": (
+        pathspace,
+        "_transfer_terms",
+        (CHEN_SIGN, "coeff = k * (1 if p % 2 == 0 else -1)"),
+        KERNEL
+        + ("suite:injectivity_witness", "golden:eval_pathform", "golden:wedge_prime"),
+    ),
+    "drop_k": (
+        pathspace,
+        "_transfer_terms",
+        (CHEN_SIGN, "coeff = -1 if p % 2 == 0 else 1"),
+        KERNEL + ("golden:eval_pathform",),
+    ),
+    "flip_front_sign": (
+        pathspace,
+        "wedge_prime_explicit",
+        ("front = a_p.wedge(b_q)", "front = -a_p.wedge(b_q)"),
+        ("cross_case_1", "front_case"),
+    ),
+    "drop_combo": (
+        pathspace,
+        "wedge_prime_explicit",
+        ("combo = a_p.wedge(b_next)", "combo = a_p.wedge(b_next).scale(0)"),
+        ("cross_case_0", "cross_case_1", "front_case", "golden:wedge_prime"),
+    ),
+    "flip_cross_sign": (
+        pathspace,
+        "wedge_prime_explicit",
+        (CROSS_TERM, "combo = combo + (-cross if q % 2 == 0 else cross)"),
+        ("cross_case_0", "cross_case_1"),
+    ),
+    "drop_cross_term": (
+        pathspace,
+        "wedge_prime_explicit",
+        (CROSS_TERM, "combo = combo"),
+        ("cross_case_0", "cross_case_1"),
+    ),
+    "chen_index_shift": (
+        pathspace,
+        "chen_integral",
+        ("rest = tuple(i - 1 for i in indices[1:])", "rest = indices[1:]"),
+        (
+            "suite:chain_homotopy",
+            "suite:dI_commute",
+            "suite:injectivity_witness",
+            "golden:wedge_prime",
+        ),
+    ),
+    "drop_tensor_sign": (
+        GeneralizedForm,
+        "_times",
+        lambda self, odd, a, b: a.wedge(b),
+        (
+            "suite:d_squared",
+            "suite:pair_equivalence",
+            "suite:dI_commute",
+            "golden:gen_d",
+        ),
+    ),
+    "drop_contract_sign": (
+        SignedMonomials,
+        "_contract",
+        ("if j % 2:", "if False:"),
+        ("suite:d_squared", "suite:leibniz", "golden:koszul_d"),
+    ),
+}
+
+
+def plant(monkeypatch, owner, name, mutant) -> None:
+    """Put the mutant in place: on a class, as its method; on a module, in
+    every module that holds the original, so names imported elsewhere
+    (verify's, the golden cases') see it too."""
+    original = getattr(owner, name)
+    if isinstance(mutant, tuple):
+        line, replacement = mutant
+        source = textwrap.dedent(inspect.getsource(original))
+        assert source.count(line) == 1
+        namespace = dict(vars(sys.modules[original.__module__]))
+        source = source.replace(line, replacement)
+        exec(compile(source, original.__code__.co_filename, "exec"), namespace)
+        mutant = namespace[name]
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, mutant)
+        return
+    for module in list(sys.modules.values()):
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, mutant)
+
+
+def flags(check) -> bool:
+    try:
+        return bool(check())
+    except Exception:
+        return True
+
+
+def test_matrix_checks_pass_on_the_real_formulas():
+    assert [name for name, check in CHECKS.items() if check()] == []
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_closed_formula_mutations_are_flagged(mutation, monkeypatch):
+    owner, name, mutant, checks = MUTATIONS[mutation]
+    plant(monkeypatch, owner, name, mutant)
+    assert [name for name in checks if not flags(CHECKS[name])] == []
 
 
 def test_wedge_prime_differs_from_pointwise_wedge():
@@ -371,7 +537,24 @@ def test_plot_time_is_not_a_field():
     with pytest.raises(TypeError):
         Plot(X1, U1, (Poly.var(cyl, "u1"),), 5)
     assert Plot.time == "t"
-    assert line_plot().cylinder == Chart(("t", "u1"))
+    assert line_plot().source == Chart(("t", "u1"))
+
+
+def test_a_plot_is_the_map_from_its_cylinder(monkeypatch):
+    plot = square_plot()
+    cylinder = Chart(("t", "u1", "u2"))
+    assert isinstance(plot, PolyMap) and plot.source == cylinder
+    built = []
+    post_init = Chart.__post_init__
+
+    def counted(chart):
+        built.append(chart)
+        post_init(chart)
+
+    monkeypatch.setattr(Chart, "__post_init__", counted)
+    # the cylinder is built once, by the constructor, not on each read
+    assert plot.source is plot.source
+    assert built == []
 
 
 @pytest.mark.parametrize("endpoint", [True, 1.0])

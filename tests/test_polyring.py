@@ -220,6 +220,15 @@ def test_canonical_form():
     assert p({(1, 0): 1, (0, 0): 0}).terms == {(1, 0): Fraction(1)}
 
 
+@pytest.mark.parametrize("names", [("x", 1), (1, 2), (None,)])
+def test_non_string_variable_names_rejected(names):
+    # Poly((1, 2), {(1, 0): 1}) used to build, and then str() of it raised
+    with pytest.raises(TypeError):
+        Poly(names, {})
+    with pytest.raises(TypeError):
+        Poly.const(names, 1)
+
+
 def test_variables_must_be_distinct_and_known():
     with pytest.raises(ValueError):
         Poly(("x", "x"))

@@ -1,6 +1,7 @@
 """JSON interchange: round trips, canonical bytes, and parse rejection."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -427,6 +428,53 @@ def test_too_deep_expression_is_a_parse_error():
         doc = {"node": "Diff", "child": doc}
     with pytest.raises(ParseError):
         expr_from_doc(doc)
+
+
+def python_calls(fn, *args) -> int:
+    """The Python-level calls fn(*args) makes, itself included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_expression_codecs_visit_each_node_once():
+    def chain(depth):
+        expr = Chen(dx(X2, 0))
+        for _ in range(depth):
+            expr = Diff(expr)
+        return expr
+
+    short, deep = chain(50), chain(200)
+    # linear work gives 4x; counting the depth below every node gave 13-15x
+    assert python_calls(expr_to_doc, deep) <= 5 * python_calls(expr_to_doc, short)
+    short, deep = expr_to_doc(short), expr_to_doc(deep)
+    assert python_calls(expr_from_doc, deep) <= 5 * python_calls(expr_from_doc, short)
+
+
+def test_a_deep_node_chain_is_refused_at_the_depth_limit():
+    # built in Python rather than by loads, so no JSON limit cuts it short:
+    # the descent stops one level past the limit, whatever lies below
+    def chain(depth):
+        doc = {"node": "Sum", "children": []}
+        for _ in range(depth):
+            doc = {"node": "Diff", "child": doc}
+        return doc
+
+    def refuse(doc):
+        with pytest.raises(ParseError, match="nested deeper"):
+            expr_from_doc(doc)
+
+    refuse(chain(201))  # warm the caches of pytest.raises's match
+    assert python_calls(refuse, chain(10_000)) == python_calls(refuse, chain(201))
 
 
 @pytest.mark.parametrize("node", ["Diff", "Sum", "Scale", "Wedge"])

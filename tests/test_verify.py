@@ -16,6 +16,7 @@ from pathforms.koszul import KoszulElement
 from pathforms.pathspace import Plot
 from pathforms.polyring import Poly
 from pathforms.serialize import (
+    MAX_CHART_DIM,
     default_target_chart,
     dumps,
     form_from_doc,
@@ -23,6 +24,7 @@ from pathforms.serialize import (
     gen_to_doc,
     koszul_from_doc,
     plot_from_doc,
+    plot_to_doc,
     to_doc,
 )
 from pathforms.verify import (
@@ -111,6 +113,23 @@ def test_config_validation():
         GenConfig(seed=0, trials=-1)
     with pytest.raises(ValueError):
         GenConfig(seed=0, koszul_n=0)
+
+
+@pytest.mark.parametrize("field", ["chart_dim", "plot_dim"])
+def test_config_dimensions_stay_within_plot_documents(field):
+    # a failure record's plot must read back, and plot_from_doc refuses a
+    # dimension above MAX_CHART_DIM
+    with pytest.raises(ValueError, match="limit of 16"):
+        GenConfig(**{field: MAX_CHART_DIM + 1})
+
+
+def test_plots_drawn_at_the_dimension_limit_round_trip():
+    cfg = GenConfig(chart_dim=MAX_CHART_DIM, plot_dim=MAX_CHART_DIM)
+    plots = [gen_random("plot", cfg, index=i) for i in range(24)]
+    assert {plot.target.dim for plot in plots} == {MAX_CHART_DIM}
+    assert max(plot.domain.dim for plot in plots) == MAX_CHART_DIM  # index 20
+    for plot in plots:
+        assert plot_from_doc(plot_to_doc(plot), plot.target) == plot
 
 
 @pytest.mark.parametrize(
