@@ -16,9 +16,10 @@ graded slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Any, Mapping, Union
 
 from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, _distinct
+from .polyring import checked_type
 from .signs import SignedMonomials, merge_indices, sort_with_sign
 
 
@@ -41,6 +42,13 @@ class Chart:
     def var(self, index: int) -> Poly:
         return Poly.var(self.coordinates, self.coordinates[index])
 
+    def own(self, poly: Any, what: str) -> Poly:
+        """poly, checked to be a Poly over these coordinates; `what` names it."""
+        checked_type(poly, Poly, what)
+        if poly.variables != self.coordinates:
+            raise MismatchError(f"{what} over {poly.variables!r} does not live on {self!r}")
+        return poly
+
 
 class OrdinaryForm(SignedMonomials):
     """A differential form with Poly coefficients on a fixed chart: a sum of
@@ -58,8 +66,7 @@ class OrdinaryForm(SignedMonomials):
         chart: Chart,
         components: Mapping[tuple[int, ...], Poly] | None = None,
     ):
-        if not isinstance(chart, Chart):
-            raise TypeError(f"a form's chart must be a Chart, got {chart!r}")
+        checked_type(chart, Chart, "a form's chart")
         super().__init__(chart, len(chart.coordinates), components)
 
     @property
@@ -67,13 +74,7 @@ class OrdinaryForm(SignedMonomials):
         return self._context
 
     def _checked(self, poly: Poly) -> Poly:
-        if not isinstance(poly, Poly):
-            raise TypeError(f"form coefficients must be Polys, got {poly!r}")
-        if poly.variables != self._context.coordinates:
-            raise MismatchError(
-                f"coefficient over {poly.variables!r} does not live on {self.chart!r}"
-            )
-        return poly
+        return self._context.own(poly, "a form coefficient")
 
     # -- constructors ------------------------------------------------------
 
@@ -99,31 +100,32 @@ class OrdinaryForm(SignedMonomials):
 
     # -- algebra ---------------------------------------------------------------
 
-    def scale(self, value: Union[Poly, RationalLike]) -> OrdinaryForm:
-        factor = value if isinstance(value, Poly) else self.chart.const(value)
-        return self._new({i: p * factor for i, p in self.components.items()})
-
     def wedge(self, other: OrdinaryForm) -> OrdinaryForm:
         """Exterior product; signs from the merge parity of index tuples."""
         return self._product(other)
 
     def d(self) -> OrdinaryForm:
         """Exterior differential: f dx_I  ->  sum_j (d_j f) dx_j ^ dx_I."""
-        coordinates = self._context.coordinates
-        acc: dict[tuple[int, ...], Poly] = {}
-        for indices, poly in self.components.items():
-            for j, name in enumerate(coordinates):
-                df = poly.pderiv(name)
-                if df.is_zero:
-                    continue
-                merged = merge_indices((j,), indices)
-                if merged is None:
-                    continue
-                sign, key = merged
-                term = df if sign > 0 else -df
-                prev = acc.get(key)
-                acc[key] = term if prev is None else prev + term
-        return self._new(acc)
+        return self._new(_d_coefficients(self._context.coordinates, self.components))
+
+
+def _d_coefficients(coordinates: tuple[str, ...], components: Mapping) -> dict:
+    """f e_I  ->  sum_j (d_j f) dx_j e_I, for monomials whose generators
+    below len(coordinates) are the coordinate differentials dx_j."""
+    acc: dict[tuple[int, ...], Poly] = {}
+    for indices, poly in components.items():
+        for j, name in enumerate(coordinates):
+            df = poly.pderiv(name)
+            if df.is_zero:
+                continue
+            merged = merge_indices((j,), indices)
+            if merged is None:
+                continue
+            sign, key = merged
+            term = df if sign > 0 else -df
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return acc
 
 
 def dx(chart: Chart, *indices: int) -> OrdinaryForm:
@@ -149,18 +151,12 @@ class PolyMap:
     components: tuple[Poly, ...]
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        source = checked_type(self.source, Chart, "a map's source")
+        dim = checked_type(self.target, Chart, "a map's target").dim
+        comps = tuple(source.own(poly, "a map component") for poly in self.components)
         object.__setattr__(self, "components", comps)
-        if len(comps) != self.target.dim:
-            raise MismatchError(
-                f"expected {self.target.dim} components, got {len(comps)}"
-            )
-        for poly in comps:
-            if poly.variables != self.source.coordinates:
-                raise MismatchError(
-                    f"component over {poly.variables!r} does not live on "
-                    f"{self.source!r}"
-                )
+        if len(comps) != dim:
+            raise MismatchError(f"expected {dim} components, got {len(comps)}")
 
     @classmethod
     def identity(cls, chart: Chart) -> PolyMap:

@@ -2,8 +2,8 @@
 ordinary form complex on a chart with the negative-degree exterior
 algebra on generators z_0, ..., z_{n-1}.
 
-An element is a sum of components a_S x z_S with a_S an OrdinaryForm and
-S a strictly increasing index tuple; the total degree of a homogeneous
+An element is a sum of a_S x z_S with a_S an OrdinaryForm and S a
+strictly increasing index tuple; the total degree of a homogeneous
 component is (ordinary degree of a_S) - |S|, so degrees run from -n up
 to the chart dimension.  Products and the differential follow the
 standard super sign rules for a tensor product of graded algebras:
@@ -11,41 +11,52 @@ standard super sign rules for a tensor product of graded algebras:
     (a x z_S)(b x z_T) = (-1)^{|S| q} (a ^ b) x (z_S z_T)   for b of degree q
     d(a x z_S) = (da) x z_S + (-1)^{deg a} a x d(z_S)
 
+Every dx_i and z_j is odd, so a value is stored as Polys on the words
+dx_I z_S, z_j being generator N + j on an N-dimensional chart, and both
+signs above are merge parities of such words; `forms()` nests them.
+
 For n = 1 an element of degree p is the pair (a_p, a_{p+1}) with
 a_p + a_{p+1} z; pair_encode / pair_decode move between the two views.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from bisect import bisect_left
+from types import MappingProxyType
+from typing import Mapping
 
-from .forms import Chart, OrdinaryForm
+from .forms import Chart, OrdinaryForm, _d_coefficients
 from .koszul import KoszulElement, KoszulParams
-from .polyring import MismatchError, Poly, RationalLike
-from .signs import SignedMonomials, checked_indices, sort_with_sign
-
-
-def _odd_negated(form: OrdinaryForm) -> OrdinaryForm:
-    """(-1)^p times the degree-p part of a form, summed over p."""
-    return form._new({i: -f if len(i) % 2 else f for i, f in form.components.items()})
+from .polyring import MismatchError, RationalLike, checked_type
+from .signs import SignedMonomials, _store, checked_indices, sort_with_sign
 
 
 class GeneralizedForm(SignedMonomials):
-    """A sum of ordinary forms tensored with z-monomials: ordinary-form
-    coefficients on the monomials z_S, whose generators z_i have degree -1."""
+    """A sum of ordinary forms tensored with z-monomials, whose generators
+    z_j have degree -1: Polys keyed by I, then S shifted by the chart dimension."""
 
     __slots__ = ()
 
-    GENERATOR_DEGREE = -1
     SYMBOL = "z"
 
     def __init__(
         self,
         chart: Chart,
         params: KoszulParams,
-        components: Mapping[tuple[int, ...], OrdinaryForm] | None = None,
+        forms: Mapping[tuple[int, ...], OrdinaryForm] | None = None,
     ):
-        super().__init__((chart, params), params.n, components)
+        checked_type(chart, Chart, "a generalized form's chart")
+        checked_type(params, KoszulParams, "Koszul parameters")
+        flat = {}
+        for zetas, form in (forms or {}).items():
+            shifted = tuple(chart.dim + j for j in checked_indices(zetas, params.n))
+            if checked_type(form, OrdinaryForm, "a z-monomial's form").chart != chart:
+                raise MismatchError(
+                    f"component on {form.chart!r} does not live on {chart!r}"
+                )
+            flat.update((i + shifted, poly) for i, poly in form.components.items())
+        self._context = (chart, params)
+        self.components = _store(flat)
 
     @property
     def chart(self) -> Chart:
@@ -55,14 +66,24 @@ class GeneralizedForm(SignedMonomials):
     def params(self) -> KoszulParams:
         return self._context[1]
 
-    def _checked(self, form: OrdinaryForm) -> OrdinaryForm:
-        if not isinstance(form, OrdinaryForm):
-            raise TypeError(f"components must be OrdinaryForms, got {form!r}")
-        if form._context != self._context[0]:
-            raise MismatchError(
-                f"component on {form.chart!r} does not live on {self.chart!r}"
-            )
-        return form
+    def _degree(self, indices: tuple[int, ...]) -> int:
+        """The number of dx in the word minus the number of z."""
+        return 2 * bisect_left(indices, self._context[0].dim) - len(indices)
+
+    def forms(self) -> Mapping[tuple[int, ...], OrdinaryForm]:
+        """The read-only nested view S -> a_S, nonzero forms only."""
+        dim = self.chart.dim
+        nested: dict[tuple[int, ...], dict] = {}
+        for indices, poly in self.components.items():
+            cut = bisect_left(indices, dim)
+            zetas = tuple(j - dim for j in indices[cut:])
+            nested.setdefault(zetas, {})[indices[:cut]] = poly
+        return MappingProxyType(
+            {zetas: OrdinaryForm._trusted(self.chart, c) for zetas, c in nested.items()}
+        )
+
+    def _shown(self) -> dict[tuple[int, ...], str]:
+        return {zetas: repr(form) for zetas, form in self.forms().items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -88,8 +109,7 @@ class GeneralizedForm(SignedMonomials):
         if sorted_ is None:
             return cls.zero(chart, params)
         sign, key = sorted_
-        form = OrdinaryForm.from_poly(chart, chart.const(sign))
-        return cls(chart, params, {key: form})
+        return cls.from_koszul(chart, KoszulElement(params, {key: sign}))
 
     @classmethod
     def from_koszul(
@@ -105,34 +125,23 @@ class GeneralizedForm(SignedMonomials):
     def component(self, indices: tuple[int, ...]) -> OrdinaryForm:
         """The ordinary form paired with z_indices (zero when absent)."""
         key = checked_indices(indices, self.params.n)
-        return self.components.get(key) or OrdinaryForm._trusted(self.chart, {})
+        return self.forms().get(key) or OrdinaryForm._trusted(self.chart, {})
 
     # -- graded algebra ------------------------------------------------------
 
-    def scale(self, value: Union[Poly, RationalLike]) -> GeneralizedForm:
-        return self._new({i: f.scale(value) for i, f in self.components.items()})
-
-    def _times(self, odd: bool, a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
-        """The tensor sign (-1)^{|S| q} against the degree-q part of b: with
-        |S| odd, the odd-degree parts of b change sign."""
-        return a.wedge(_odd_negated(b) if odd else b)
-
     def wedge(self, other: GeneralizedForm) -> GeneralizedForm:
         """Product with the tensor sign (-1)^{|S| q} against the ordinary
-        degree-q part of the right factor."""
+        degree-q part of the right factor: the parity of moving dx_J past z_S."""
         return self._product(other)
 
     def d(self) -> GeneralizedForm:
         """The degree +1 differential of the tensor product complex: the
-        ordinary d on each component, plus the Koszul contraction, whose
-        constants pass each component a with the sign (-1)^{deg a}."""
-        chart = self.chart
-        constants = tuple(
-            OrdinaryForm._trusted(chart, {(): chart.const(k)})
-            for k in self.params.constants
-        )
+        ordinary d on the coefficients, plus the Koszul contraction, whose
+        sign (-1)^{deg a} is the parity of z_j's position after dx_I."""
+        chart, params = self._context
         return self._contract(
-            constants, {i: f.d() for i, f in self.components.items()}
+            (0,) * chart.dim + params.constants,
+            _d_coefficients(chart.coordinates, self.components),
         )
 
 

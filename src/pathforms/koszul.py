@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .polyring import RationalLike, as_fraction
+from .polyring import RationalLike, as_fraction, checked_type
 from .signs import SignedMonomials
 
 
@@ -59,6 +59,7 @@ class KoszulElement(SignedMonomials):
         params: KoszulParams,
         terms: Mapping[tuple[int, ...], RationalLike] | None = None,
     ):
+        checked_type(params, KoszulParams, "Koszul parameters")
         super().__init__(params, params.n, terms)
 
     @property
@@ -90,8 +91,7 @@ class KoszulElement(SignedMonomials):
     # -- algebra -------------------------------------------------------------
 
     def scale(self, value: RationalLike) -> KoszulElement:
-        factor = as_fraction(value)
-        return self._new({i: c * factor for i, c in self.components.items()})
+        return super().scale(as_fraction(value))
 
     def mul(self, other: KoszulElement) -> KoszulElement:
         """Exterior product; signs from the merge parity of index tuples."""

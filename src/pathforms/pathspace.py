@@ -28,7 +28,7 @@ from typing import ClassVar
 
 from .forms import Chart, OrdinaryForm, PolyMap
 from .generalized import GeneralizedForm, pair_decode
-from .polyring import MismatchError, Poly, as_fraction
+from .polyring import MismatchError, Poly, as_fraction, checked_type
 
 
 def _check_endpoint(endpoint: int) -> None:
@@ -49,7 +49,7 @@ class Plot(PolyMap):
     time: ClassVar[str] = "t"
 
     def __init__(self, target: Chart, domain: Chart, components: tuple[Poly, ...]):
-        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "domain", checked_type(domain, Chart, "a plot's domain"))
         super().__init__(Chart((self.time,) + domain.coordinates), target, components)
 
     def endpoint_map(self, endpoint: int) -> PolyMap:
@@ -138,11 +138,7 @@ class PathFormExpr:
                     object.__setattr__(self, field.name, items)
                 kind = OrdinaryForm if field.type == "OrdinaryForm" else PathFormExpr
                 for item in items:
-                    if not isinstance(item, kind):
-                        raise TypeError(
-                            f"{type(self).__name__}.{field.name} takes "
-                            f"{kind.__name__} values, got {item!r}"
-                        )
+                    checked_type(item, kind, f"{type(self).__name__}.{field.name}")
 
     def forms(self) -> Iterator[OrdinaryForm]:
         """Every OrdinaryForm field, in field order, recursing into the

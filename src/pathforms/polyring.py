@@ -44,7 +44,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 #: Scalars are exact rationals throughout the package.
 Rational = Fraction
@@ -75,8 +75,7 @@ def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
     a name that is not a str is a TypeError, a repeated name a ValueError."""
     names = tuple(variables)
     for name in names:
-        if not isinstance(name, str):
-            raise TypeError(f"names must be strings, got {name!r}")
+        checked_type(name, str, "a name")
     if len(set(names)) != len(names):
         raise ValueError(f"names must be distinct, got duplicate names: {names!r}")
     return names
@@ -95,6 +94,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     if kind is bool or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int or Fraction, got {value!r}")
     return Fraction(value)
+
+
+def checked_type(value: Any, kind: type, what: str) -> Any:
+    """value, when it is an instance of kind; a TypeError otherwise."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -325,14 +331,7 @@ class Poly:
         The result no longer depends on `name` but keeps the same variable
         list (the exponent is zero everywhere).
         """
-        s = self._shift(name)
-        scale = lcm(*{(key >> s & _MASK) + 1 for key in self._nums})
-        out: dict[int, int] = {}
-        for key, n in self._nums.items():
-            e = key >> s & _MASK
-            key -= e << s
-            out[key] = out.get(key, 0) + n * (scale // (e + 1))
-        return Poly._make(self.variables, out, self._den * scale)
+        return self._weigh(name, lambda e: Fraction(1, e + 1))
 
     def compose(
         self,
@@ -367,16 +366,22 @@ class Poly:
 
     def set_var(self, name: str, value: RationalLike) -> Poly:
         """Substitute a rational constant for one variable, keeping the list."""
-        s = self._shift(name)
         c = as_fraction(value)
-        p, q = c.numerator, c.denominator
-        top = max((key >> s & _MASK for key in self._nums), default=0)
+        return self._weigh(name, lambda e: c**e)
+
+    def _weigh(self, name: str, weight: Callable[[int], Fraction]) -> Poly:
+        """t^e * m  ->  weight(e) * m for t the variable `name`, with one
+        weight per distinct exponent, over one common denominator."""
+        s = self._shift(name)
+        weights = {e: weight(e) for e in {key >> s & _MASK for key in self._nums}}
+        scale = lcm(*(w.denominator for w in weights.values()))
+        factors = {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
         out: dict[int, int] = {}
         for key, n in self._nums.items():
             e = key >> s & _MASK
             key -= e << s
-            out[key] = out.get(key, 0) + n * p**e * q ** (top - e)
-        return Poly._make(self.variables, out, self._den * q**top)
+            out[key] = out.get(key, 0) + n * factors[e]
+        return Poly._make(self.variables, out, self._den * scale)
 
     def drop_var(self, name: str) -> Poly:
         """Remove a variable the polynomial does not actually use."""

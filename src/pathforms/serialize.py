@@ -279,7 +279,7 @@ def gen_to_doc(value: GeneralizedForm) -> dict:
     return {
         "chart": chart_to_doc(value.chart),
         "koszul": koszul_params_to_doc(value.params),
-        "components": _entries(value.components, "zetas", "form", form_to_doc),
+        "components": _entries(value.forms(), "zetas", "form", form_to_doc),
     }
 
 

@@ -1,9 +1,9 @@
 """Signed exterior monomials: permutation parity and the shared kernel.
 
-Coordinate differentials and the degree -1 generators of the inverted
-exterior algebra both anticommute, so a single signed-merge routine
-serves every product in the package.  Keeping one code path for signs
-means one set of parity tests guards all of them.
+Coordinate differentials (degree +1) and the degree -1 generators of the
+inverted exterior algebra are all odd, so any two anticommute and a single
+signed-merge routine gives every sign in the package.  Keeping one code
+path for signs means one set of parity tests guards all of them.
 
 `SignedMonomials` is the part the three algebras share: checked,
 read-only storage of coefficients on exterior monomials, degree
@@ -86,15 +86,15 @@ class SignedMonomials:
     """A sum of coefficients on exterior monomials e_I.
 
     I is a strictly increasing tuple of generator indices; the empty tuple
-    indexes the unit.  The generators anticommute, and each has degree
-    GENERATOR_DEGREE.  A coefficient that is itself a SignedMonomials adds
-    its own degrees.  Every sign comes from merge_indices.
+    indexes the unit.  The generators are odd and anticommute, and e_I has
+    degree `_degree(I)`, by default GENERATOR_DEGREE * |I|.  Coefficients
+    are ungraded ring elements, so every sign comes from merge_indices.
 
     A subclass fixes the context its values live in, checks coefficients
-    (`_checked`), multiplies them (`_times`) and defines its own `d`.
-    `components` is a read-only mapping from index tuples to nonzero
-    coefficients that iterates in no fixed order; values of one context
-    hash consistently with `==`, which ignores that order.
+    (`_checked`) and defines its own `d`.  `components` is a read-only
+    mapping from index tuples to nonzero coefficients that iterates in no
+    fixed order; values of one context hash consistently with `==`, which
+    ignores that order.
     """
 
     __slots__ = ("_context", "components")
@@ -152,16 +152,13 @@ class SignedMonomials:
     def __hash__(self) -> int:
         return hash((self._context, frozenset(self.components.items())))
 
+    def _degree(self, indices: tuple[int, ...]) -> int:
+        """The degree of the monomial e_indices."""
+        return self.GENERATOR_DEGREE * len(indices)
+
     def degrees(self) -> set[int]:
         """The set of degrees with a nonzero term."""
-        out: set[int] = set()
-        for indices, coeff in self.components.items():
-            own = self.GENERATOR_DEGREE * len(indices)
-            if isinstance(coeff, SignedMonomials):
-                out.update(own + p for p in coeff.degrees())
-            else:
-                out.add(own)
-        return out
+        return {self._degree(indices) for indices in self.components}
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous value; None for zero, error when mixed."""
@@ -177,14 +174,9 @@ class SignedMonomials:
 
     def part(self, degree: int):
         """The homogeneous piece of the given degree (zero when absent)."""
-        out = {}
-        for indices, coeff in self.components.items():
-            rest = degree - self.GENERATOR_DEGREE * len(indices)
-            if isinstance(coeff, SignedMonomials):
-                out[indices] = coeff.part(rest)
-            elif rest == 0:
-                out[indices] = coeff
-        return self._new(out)
+        return self._new(
+            {i: c for i, c in self.components.items() if self._degree(i) == degree}
+        )
 
     def homogeneous_parts(self) -> dict:
         """Degree -> nonzero homogeneous piece, in increasing degree."""
@@ -216,27 +208,23 @@ class SignedMonomials:
     def __sub__(self, other: SignedMonomials):
         return self + (-other)
 
-    # -- products ------------------------------------------------------------
+    def scale(self, value: Any):
+        """Every coefficient times value: a coefficient or a rational."""
+        return self._new({i: c * value for i, c in self.components.items()})
 
-    def _times(self, odd: bool, a: Any, b: Any) -> Any:
-        """The coefficient of (a e_I)(b e_J) before the merge sign, where
-        `odd` says whether b moves past an odd number of generators (|I|
-        odd).  Ungraded coefficients just multiply."""
-        return a * b
+    # -- products ------------------------------------------------------------
 
     def _product(self, other: SignedMonomials):
         """sum over I, J of (a_I e_I)(b_J e_J) = +-(a_I b_J) e_{I u J}."""
         self._require_same(other)
-        times = self._times
         acc: dict[tuple[int, ...], Any] = {}
         for left, a in self.components.items():
-            odd = len(left) % 2 == 1
             for right, b in other.components.items():
                 merged = merge_indices(left, right)
                 if merged is None:
                     continue
                 sign, key = merged
-                term = times(odd, a, b)
+                term = a * b
                 if sign < 0:
                     term = -term
                 prev = acc.get(key)
@@ -249,15 +237,14 @@ class SignedMonomials:
 
             c e_I  ->  sum_j (-1)^j k_{i_j} c e_{I minus i_j}
 
-        with j the position of i_j in I.  The derivation moves past c, so
-        k and c multiply through `_times` as an odd crossing."""
-        times = self._times
+        with j the position of i_j in I; generators whose constant is zero
+        drop out."""
         for indices, coeff in self.components.items():
             for j, i in enumerate(indices):
                 k = constants[i]
                 if not k:
                     continue
-                term = times(True, k, coeff)
+                term = k * coeff
                 if j % 2:
                     term = -term
                 key = indices[:j] + indices[j + 1 :]
@@ -265,9 +252,12 @@ class SignedMonomials:
                 acc[key] = term if prev is None else prev + term
         return self._new(acc)
 
+    def _shown(self) -> dict[tuple[int, ...], str]:
+        """Each monomial's coefficient as the repr writes it."""
+        return {i: f"({c})" for i, c in self.components.items()}
+
     def __repr__(self) -> str:
         parts = []
-        for indices, coeff in sorted(self.components.items(), key=lambda i: (len(i[0]), i[0])):
-            text = repr(coeff) if isinstance(coeff, SignedMonomials) else f"({coeff})"
+        for indices, text in sorted(self._shown().items(), key=lambda i: (len(i[0]), i[0])):
             parts.append(f"{text}*{self.SYMBOL}{list(indices)}" if indices else text)
         return f"{type(self).__name__}({' + '.join(parts) or 0})"

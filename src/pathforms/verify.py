@@ -14,11 +14,12 @@ and some accept their own; a mutation deliberately breaks the checked
 identity in a known way, so the failure machinery itself is testable: a
 suite that cannot flag a planted bug proves nothing when it passes.
 
-Generators build their canonical values directly, through the trusted
-constructors.  tests/golden/suite_digests.json pins the draw order: each
-polynomial term draws its coefficient before its exponents.  `_randint`
-draws integers as CPython 3.11's randint does, from getrandbits, in one
-Python call where randint makes three; its draws rest on the Mersenne
+Generators build polynomials, forms and Koszul elements through the
+trusted constructors, and generalized forms through the checked one, which
+owns their layout.  tests/golden/suite_digests.json pins the draw order:
+each polynomial term draws its coefficient before its exponents.  Its
+`_randint` draws integers as CPython 3.11's randint does, from getrandbits,
+in one Python call where randint makes three; its draws rest on the Mersenne
 Twister stream alone, not on randint's algorithm, which Python may change.
 """
 
@@ -222,7 +223,7 @@ def rand_genform(
             if rng.random() < 0.4:
                 continue
             components[indices] = rand_form(rng, chart, cfg, degree=ordinary)
-    return GeneralizedForm._trusted((chart, params), components)
+    return GeneralizedForm(chart, params, components)
 
 
 def rand_genform_mixed(

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
+from pathforms.generalized import GeneralizedForm
+from pathforms.koszul import KoszulElement, KoszulParams
+from pathforms.pathspace import Plot
 from pathforms.polyring import MismatchError, Poly
 from pathforms.signs import merge_indices, sort_with_sign
 from pathforms.serialize import default_target_chart
@@ -138,6 +141,27 @@ def test_form_constructors_reject_a_non_chart(chart):
         OrdinaryForm.zero(chart)
     with pytest.raises(TypeError, match="must be a Chart"):
         OrdinaryForm.from_poly(chart, R2.const(1))
+
+
+K1 = KoszulParams((Fraction(1),))
+U = Chart(("u",))
+
+# each of these used to build a value with a tuple for a chart, or to fail
+# with AttributeError on the first attribute it read
+WRONG_TYPES = {
+    "generalized_chart": lambda: GeneralizedForm(("x1",), K1),
+    "koszul_params": lambda: KoszulElement((1,)),
+    "generalized_params": lambda: GeneralizedForm(R2, (1,)),
+    "map_target": lambda: PolyMap(U, ("x",), (U.var(0),)),
+    "map_component": lambda: PolyMap(R2, U, (5,)),
+    "plot_domain": lambda: Plot(U, ("u1",), (Poly.var(("t", "u1"), "t"),)),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_constructors_reject_arguments_of_the_wrong_type(case):
+    with pytest.raises(TypeError):
+        WRONG_TYPES[case]()
 
 
 def test_chart_rejects_duplicate_names():

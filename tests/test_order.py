@@ -71,7 +71,12 @@ def _generalized():
     forms = _forms()
     items = [(i, forms[k * 7]) for k, i in enumerate(INDEX_TUPLES)]
     out = [GeneralizedForm(CHART, PARAMS, comps) for comps in orders(items)]
-    out += [GeneralizedForm._trusted((CHART, PARAMS), comps) for comps in orders(items)]
+    # the trusted constructor takes the stored layout, Polys keyed by the
+    # word dx_I z_S: each value's flat components, in its order and reversed
+    for value in list(out):
+        flat = list(value.components.items())
+        for items in (flat, flat[::-1]):
+            out.append(GeneralizedForm._trusted((CHART, PARAMS), dict(items)))
     return out
 
 

@@ -423,16 +423,29 @@ MUTATIONS = {
             "golden:wedge_prime",
         ),
     ),
-    "drop_tensor_sign": (
+    "constants_on_dx": (
         GeneralizedForm,
-        "_times",
-        lambda self, odd, a, b: a.wedge(b),
+        "d",
+        (
+            "(0,) * chart.dim + params.constants",
+            "params.constants + (0,) * chart.dim",
+        ),
         (
             "suite:d_squared",
             "suite:pair_equivalence",
             "suite:dI_commute",
+            "suite:kernel",
             "golden:gen_d",
         ),
+    ),
+    "z_degree_zero": (
+        GeneralizedForm,
+        "_degree",
+        (
+            "2 * bisect_left(indices, self._context[0].dim) - len(indices)",
+            "bisect_left(indices, self._context[0].dim)",
+        ),
+        KERNEL + ("suite:injectivity_witness",),
     ),
     "drop_contract_sign": (
         SignedMonomials,

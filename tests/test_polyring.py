@@ -162,6 +162,19 @@ def test_non_integer_exponent_rejected_even_with_zero_coefficient():
         Poly(("x",), {(0.5,): 0})
 
 
+def test_int_subclass_exponents_are_stored_as_plain_ints():
+    class I(int):
+        pass
+
+    poly = Poly(("x",), {(I(2),): 1})
+    assert poly == Poly(("x",), {(2,): 1})
+    assert [type(e) for exps in poly.terms for e in exps] == [int]
+
+
+def test_zero_prints_as_0():
+    assert str(Poly.zero(("x",))) == "0"
+
+
 def test_terms_are_read_only():
     q = p({(2, 0): 3})
     with pytest.raises(TypeError):

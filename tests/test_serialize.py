@@ -357,6 +357,11 @@ def test_expression_round_trip():
     assert expr_from_doc(expr_to_doc(nested)) == nested
 
 
+def test_expression_encoder_rejects_a_non_expression():
+    with pytest.raises(TypeError, match="not a path-form expression"):
+        expr_to_doc(42)
+
+
 def test_expression_doc_rejections():
     form_doc = form_to_doc(dx(X2, 0))
     with pytest.raises(ParseError):

@@ -262,7 +262,7 @@ def _checked_rebuild(value):
     if isinstance(value, KoszulElement):
         return KoszulElement(value.params, dict(value.terms))
     if isinstance(value, GeneralizedForm):
-        comps = {i: _checked_rebuild(f) for i, f in value.components.items()}
+        comps = {i: _checked_rebuild(f) for i, f in value.forms().items()}
         return GeneralizedForm(value.chart, value.params, comps)
     assert isinstance(value, Plot)
     comps = tuple(_checked_rebuild(p) for p in value.components)
