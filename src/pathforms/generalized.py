@@ -27,7 +27,7 @@ from typing import Mapping
 
 from .forms import Chart, OrdinaryForm, _d_coefficients
 from .koszul import KoszulElement, KoszulParams
-from .polyring import MismatchError, RationalLike, checked_type
+from .polyring import MismatchError, Poly, RationalLike, checked_type
 from .signs import SignedMonomials, _store, checked_indices, sort_with_sign
 
 
@@ -69,6 +69,9 @@ class GeneralizedForm(SignedMonomials):
     def _degree(self, indices: tuple[int, ...]) -> int:
         """The number of dx in the word minus the number of z."""
         return 2 * bisect_left(indices, self._context[0].dim) - len(indices)
+
+    def _checked(self, poly: Poly) -> Poly:
+        return self._context[0].own(poly, "a form coefficient")
 
     def forms(self) -> Mapping[tuple[int, ...], OrdinaryForm]:
         """The read-only nested view S -> a_S, nonzero forms only."""
@@ -151,15 +154,13 @@ def pair_encode(
     """Build the n=1 element a_p + a_next*z from a pair of ordinary forms.
 
     The inputs must be homogeneous with deg a_next = deg a_p + 1 when both
-    are nonzero (a zero member puts no constraint).
+    are nonzero (a zero member puts no constraint): exactly when the
+    element built is homogeneous.
     """
-    params = KoszulParams((k,))
-    out = GeneralizedForm(a_p.chart, params, {(): a_p, (0,): a_next})
-    dp = a_p.degree()
-    dn = a_next.degree()
-    if dp is not None and dn is not None and dn != dp + 1:
+    out = GeneralizedForm(a_p.chart, KoszulParams((k,)), {(): a_p, (0,): a_next})
+    if not out.is_homogeneous():
         raise ValueError(
-            f"pair degrees {dp} and {dn} are not consecutive"
+            f"pair degrees {a_p.degree()} and {a_next.degree()} are not consecutive"
         )
     return out
 
@@ -170,4 +171,6 @@ def pair_decode(a: GeneralizedForm) -> tuple[OrdinaryForm, OrdinaryForm]:
         raise ValueError(f"pair form requires n=1, got n={a.params.n}")
     if not a.is_homogeneous():
         raise ValueError(f"element mixes degrees {sorted(a.degrees())}")
-    return a.component(()), a.component((0,))
+    split = a.forms()
+    empty = OrdinaryForm._trusted(a.chart, {})
+    return split.get((), empty), split.get((0,), empty)

@@ -51,7 +51,6 @@ class KoszulElement(SignedMonomials):
 
     __slots__ = ()
 
-    GENERATOR_DEGREE = -1
     SYMBOL = "z"
 
     def __init__(
@@ -71,6 +70,9 @@ class KoszulElement(SignedMonomials):
         """The read-only mapping from index tuples to nonzero Fractions."""
         return self.components
 
+    def _degree(self, indices: tuple[int, ...]) -> int:
+        return -len(indices)
+
     def _checked(self, coeff: RationalLike) -> Fraction:
         return as_fraction(coeff)
 
@@ -89,9 +91,6 @@ class KoszulElement(SignedMonomials):
         return self.scalar(self.params, 1)
 
     # -- algebra -------------------------------------------------------------
-
-    def scale(self, value: RationalLike) -> KoszulElement:
-        return super().scale(as_fraction(value))
 
     def mul(self, other: KoszulElement) -> KoszulElement:
         """Exterior product; signs from the merge parity of index tuples."""

@@ -203,18 +203,6 @@ def zero_expr() -> PathFormExpr:
     return Sum(())
 
 
-def chen(form: OrdinaryForm) -> PathFormExpr:
-    """Chen node for the part of a form the t-integral can see.
-
-    Degree-0 components integrate to 0, so they are dropped up front; a
-    form with nothing left gives the zero expression.
-    """
-    positive = {i: f for i, f in form.components.items() if i}
-    if not positive:
-        return zero_expr()
-    return Chen(form._new(positive))
-
-
 def eval_pathform(expr: PathFormExpr, plot: Plot) -> OrdinaryForm:
     """Evaluate an expression against a plot, yielding a form on its domain."""
     if isinstance(expr, EvPull):
@@ -248,11 +236,9 @@ def map_I(a: GeneralizedForm) -> PathFormExpr:
         raise ValueError(f"path-space transfer requires n=1, got n={a.params.n}")
     k = a.params.constants[0]
     terms: list[PathFormExpr] = []
-    for p in sorted(a.degrees()):
-        if p < 0:
-            continue
-        part = a.part(p)
-        terms += _transfer_terms(k, p, part.component(()), part.component((0,)))
+    for p, part in a.homogeneous_parts().items():
+        if p >= 0:
+            terms += _transfer_terms(k, p, *pair_decode(part))
     return Sum(tuple(terms))
 
 
@@ -266,7 +252,7 @@ def _transfer_terms(
         terms.append(Scale(Fraction(-1), EvPull(0, w)))
     coeff = k * (-1 if p % 2 == 0 else 1)
     if not v.is_zero and coeff != 0:
-        terms.append(Scale(coeff, chen(v)))
+        terms.append(Scale(coeff, Chen(v)))
     return terms
 
 

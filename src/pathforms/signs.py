@@ -16,7 +16,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
-from .polyring import MismatchError, as_int_tuple
+from .polyring import MismatchError, Poly, as_fraction, as_int_tuple
 
 
 def merge_indices(
@@ -87,7 +87,7 @@ class SignedMonomials:
 
     I is a strictly increasing tuple of generator indices; the empty tuple
     indexes the unit.  The generators are odd and anticommute, and e_I has
-    degree `_degree(I)`, by default GENERATOR_DEGREE * |I|.  Coefficients
+    degree `_degree(I)`, by default |I|.  Coefficients
     are ungraded ring elements, so every sign comes from merge_indices.
 
     A subclass fixes the context its values live in, checks coefficients
@@ -99,7 +99,6 @@ class SignedMonomials:
 
     __slots__ = ("_context", "components")
 
-    GENERATOR_DEGREE = 1
     SYMBOL = "e"
 
     def __init__(
@@ -154,7 +153,7 @@ class SignedMonomials:
 
     def _degree(self, indices: tuple[int, ...]) -> int:
         """The degree of the monomial e_indices."""
-        return self.GENERATOR_DEGREE * len(indices)
+        return len(indices)
 
     def degrees(self) -> set[int]:
         """The set of degrees with a nonzero term."""
@@ -209,7 +208,9 @@ class SignedMonomials:
         return self + (-other)
 
     def scale(self, value: Any):
-        """Every coefficient times value: a coefficient or a rational."""
+        """Every coefficient times value: a coefficient or a rational, checked
+        up front so that zero refuses the factors every other value does."""
+        value = self._checked(value) if isinstance(value, Poly) else as_fraction(value)
         return self._new({i: c * value for i, c in self.components.items()})
 
     # -- products ------------------------------------------------------------

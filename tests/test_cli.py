@@ -382,6 +382,13 @@ def test_malformed_document_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_document_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    status, out, err = run(capsys, "d", str(path))
+    assert (status, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
+
+
 def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
     # 2**63 is one past polyring.MAX_EXPONENT
     term = {"coeff": "1/1", "exps": [2**63, 0]}

@@ -89,8 +89,12 @@ def test_pair_encode_embedding_and_roundtrip():
 
 
 def test_pair_encode_degree_mismatch():
-    with pytest.raises(ValueError):
-        pair_encode(dx(R2, 0), dx(R2, 1), 1)  # both degree 1
+    with pytest.raises(ValueError, match=r"^pair degrees 1 and 1 are not consecutive$"):
+        pair_encode(dx(R2, 0), dx(R2, 1), 1)
+    mixed = OrdinaryForm.from_poly(R2, R2.var(0)) + dx(R2, 0)
+    for a_p, a_next in ((mixed, OrdinaryForm.zero(R2)), (dx(R2, 0), mixed)):
+        with pytest.raises(ValueError, match=r"^element mixes degrees \[0, 1\]$"):
+            pair_encode(a_p, a_next, 1)
 
 
 def test_pair_decode_requires_n1_and_homogeneous():
@@ -103,6 +107,23 @@ def test_pair_decode_requires_n1_and_homogeneous():
     )
     with pytest.raises(ValueError):
         pair_decode(mixed)
+
+
+@pytest.mark.parametrize(
+    "factor, error",
+    [("x1", TypeError), (0.5, TypeError), (True, TypeError), (R2.var(0), MismatchError)],
+    ids=["str", "float", "bool", "poly_off_chart"],
+)
+def test_scale_refuses_a_bad_factor_on_zero_too(factor, error):
+    # zero used to multiply no coefficient, so it accepted any factor
+    params = KoszulParams((Fraction(1),))
+    for zero, one in (
+        (OrdinaryForm.zero(R1), dx(R1, 0)),
+        (GeneralizedForm.zero(R1, params), GeneralizedForm.zeta(R1, params, 0)),
+    ):
+        for value in (zero, one):
+            with pytest.raises(error):
+                value.scale(factor)
 
 
 def test_degree_bookkeeping():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from golden_cases import CASES
+import pathforms.generalized as generalized
 import pathforms.pathspace as pathspace
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
 from pathforms.generalized import GeneralizedForm, pair_encode
@@ -22,7 +23,6 @@ from pathforms.pathspace import (
     Scale,
     Sum,
     Wedge,
-    chen,
     chen_integral,
     decompose,
     ev_pullback,
@@ -229,13 +229,6 @@ def test_kernel_elements_evaluate_to_zero():
     assert eval_pathform(map_I(direct), square_plot()).is_zero
 
 
-def test_chen_smart_constructor_drops_functions():
-    f = OrdinaryForm.from_poly(X1, X1.var(0))
-    assert chen(f) == zero_expr()
-    mixed = f + dx(X1, 0)
-    assert chen(mixed) == Chen(dx(X1, 0))
-
-
 def test_eval_zero_expression():
     assert eval_pathform(zero_expr(), line_plot()).is_zero
 
@@ -309,7 +302,7 @@ def test_wedge_prime_explicit_cross_term_cases(case):
     a, b, plot = cross_term_cases()[case]
     assert (a.degree(), b.degree()) == (1, 1)
     cross = a.component((0,)).wedge(b.component(()))
-    assert not eval_pathform(chen(cross), plot).is_zero
+    assert not eval_pathform(Chen(cross), plot).is_zero
     assert explicit_mismatch(a, b, plot).is_zero
 
 
@@ -387,6 +380,22 @@ MUTATIONS = {
         "_transfer_terms",
         (CHEN_SIGN, "coeff = -1 if p % 2 == 0 else 1"),
         KERNEL + ("golden:eval_pathform",),
+    ),
+    "drop_chen_term": (
+        pathspace,
+        "_transfer_terms",
+        ("terms.append(Scale(coeff, Chen(v)))", "pass"),
+        ("suite:kernel", "suite:dI_commute", "suite:injectivity_witness"),
+    ),
+    "swap_pair": (
+        generalized,
+        "pair_decode",
+        (
+            "return split.get((), empty), split.get((0,), empty)",
+            "return split.get((0,), empty), split.get((), empty)",
+        ),
+        KERNEL
+        + ("suite:injectivity_witness", "cross_case_0", "cross_case_1", "front_case"),
     ),
     "flip_front_sign": (
         pathspace,

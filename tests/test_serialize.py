@@ -1,5 +1,6 @@
 """JSON interchange: round trips, canonical bytes, and parse rejection."""
 
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -104,6 +105,11 @@ def test_loads_rejects_bad_json():
     with pytest.raises(ParseError):
         loads("{not json")
     assert loads('{"a": 1}') == {"a": 1}
+
+
+def test_loads_rejects_nesting_past_the_recursion_limit():
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        loads("[" * 100000 + "]" * 100000)
 
 
 def test_dumps_is_canonical():
@@ -436,18 +442,24 @@ def test_too_deep_expression_is_a_parse_error():
 
 
 def python_calls(fn, *args) -> int:
-    """The Python-level calls fn(*args) makes, itself included."""
+    """The Python-level calls fn(*args) makes, itself included.  The
+    collector is paused meanwhile: its callbacks (hypothesis installs one)
+    would count calls that depend on when a collection happens to run."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
 
 
