@@ -125,11 +125,6 @@ class GeneralizedForm(SignedMonomials):
         }
         return cls(chart, element.params, comps)
 
-    def component(self, indices: tuple[int, ...]) -> OrdinaryForm:
-        """The ordinary form paired with z_indices (zero when absent)."""
-        key = checked_indices(indices, self.params.n)
-        return self.forms().get(key) or OrdinaryForm._trusted(self.chart, {})
-
     # -- graded algebra ------------------------------------------------------
 
     def wedge(self, other: GeneralizedForm) -> GeneralizedForm:
@@ -169,8 +164,7 @@ def pair_decode(a: GeneralizedForm) -> tuple[OrdinaryForm, OrdinaryForm]:
     """Split a homogeneous n=1 element into its pair of ordinary forms."""
     if a.params.n != 1:
         raise ValueError(f"pair form requires n=1, got n={a.params.n}")
-    if not a.is_homogeneous():
-        raise ValueError(f"element mixes degrees {sorted(a.degrees())}")
+    a.degree()  # raises on mixed degrees
     split = a.forms()
     empty = OrdinaryForm._trusted(a.chart, {})
     return split.get((), empty), split.get((0,), empty)

@@ -166,10 +166,9 @@ class SignedMonomials:
             raise ValueError(f"element mixes degrees {sorted(degs)}")
         return degs.pop() if degs else None
 
-    def is_homogeneous(self, degree: Optional[int] = None) -> bool:
-        """Zero counts as homogeneous of every degree."""
-        degs = self.degrees()
-        return len(degs) < 2 and (degree is None or degs <= {degree})
+    def is_homogeneous(self) -> bool:
+        """Zero counts as homogeneous."""
+        return len(self.degrees()) < 2
 
     def part(self, degree: int):
         """The homogeneous piece of the given degree (zero when absent)."""

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
-from .forms import Chart, OrdinaryForm
+from .forms import Chart, OrdinaryForm, dx
 from .generalized import GeneralizedForm, pair_encode
 from .koszul import KoszulElement, KoszulParams
 from .pathspace import (
@@ -47,7 +47,6 @@ from .pathspace import (
 )
 from .polyring import _W, Poly, as_int_tuple
 from .serialize import MAX_CHART_DIM, default_domain_chart, default_target_chart, to_doc
-from .witnesses import Witness, injectivity_witnesses
 
 
 # random rationals have numerator in [-4, 4] and denominator in [1, 4]
@@ -428,6 +427,65 @@ def _wedge_prime(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
     yield "wedge_prime_leibniz", product.d() - rhs, inputs
 
 
+# Injectivity in degrees >= 1 has no finite test, so the witness suite
+# ships fixed instances: a nonzero element, a plot, and the hand-checked
+# value of its image there.
+@dataclass(frozen=True)
+class Witness:
+    """A generalized form, a plot, and the exact evaluation of its image."""
+
+    label: str
+    alpha: GeneralizedForm
+    plot: Plot
+    expected: OrdinaryForm
+
+
+def _line_plot() -> Plot:
+    # x1 = t * u1
+    target = Chart(("x1",))
+    domain = Chart(("u1",))
+    cyl = ("t", "u1")
+    tu = Poly.var(cyl, "t") * Poly.var(cyl, "u1")
+    return Plot(target, domain, (tu,))
+
+
+def injectivity_cases() -> tuple[Witness, ...]:
+    w1_target = Chart(("x1",))
+    w1_domain = Chart(("u1",))
+    w1 = Witness(
+        "degree 1, endpoint part",
+        pair_encode(dx(w1_target, 0), OrdinaryForm.zero(w1_target), 1),
+        _line_plot(),
+        dx(w1_domain, 0),
+    )
+
+    # x1 = t, x2 = t * u1: the t-integral of dx1 ^ dx2 is (1/2) du1
+    w2_target = Chart(("x1", "x2"))
+    w2_domain = Chart(("u1",))
+    cyl = ("t", "u1")
+    t = Poly.var(cyl, "t")
+    u1 = Poly.var(cyl, "u1")
+    w2 = Witness(
+        "degree 1, integral part",
+        pair_encode(OrdinaryForm.zero(w2_target), dx(w2_target, 0, 1), 1),
+        Plot(w2_target, w2_domain, (t, t * u1)),
+        OrdinaryForm.basis(w2_domain, (0,), Fraction(1, 2)),
+    )
+
+    # x1 = t * u1, x2 = t * u2: endpoint pullback of dx1 ^ dx2 is du1 ^ du2
+    w3_target = Chart(("x1", "x2"))
+    w3_domain = Chart(("u1", "u2"))
+    cyl3 = ("t", "u1", "u2")
+    t3 = Poly.var(cyl3, "t")
+    w3 = Witness(
+        "degree 2, endpoint part",
+        pair_encode(dx(w3_target, 0, 1), OrdinaryForm.zero(w3_target), 1),
+        Plot(w3_target, w3_domain, (t3 * Poly.var(cyl3, "u1"), t3 * Poly.var(cyl3, "u2"))),
+        dx(w3_domain, 0).wedge(dx(w3_domain, 1)),
+    )
+    return (w1, w2, w3)
+
+
 def _injectivity_witness(witness: Witness, cfg: GenConfig, mutation):
     """map_I(alpha) evaluates to the witness's expected value, which is
     nonzero, so matching it shows alpha is not in the kernel."""
@@ -455,7 +513,7 @@ _SUITES: dict[str, tuple[tuple[str, ...], Callable, Optional[Callable]]] = {
     "dI_commute": ((), _dI_commute, None),
     "kernel": (("perturb_element",), _kernel, None),
     "wedge_prime": ((), _wedge_prime, None),
-    "injectivity_witness": ((), _injectivity_witness, injectivity_witnesses),
+    "injectivity_witness": ((), _injectivity_witness, injectivity_cases),
 }
 
 ALL_SUITES = tuple(_SUITES)

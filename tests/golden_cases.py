@@ -230,8 +230,8 @@ def case_gen_wedge() -> dict:
     product = a.wedge(b)
     # (a_p b_q, a_p b_{q+1} + (-1)^q a_{p+1} b_q) with p = q = 1: the
     # second slot dies because both its wedges repeat an index
-    assert product.component(()) == dx(X2, 0).wedge(dx(X2, 1))
-    assert product.component((0,)).is_zero
+    assert product.forms().get(()) == dx(X2, 0).wedge(dx(X2, 1))
+    assert product.forms().get((0,)) is None
     unit = GeneralizedForm.one(X2, a.params)
     assert unit.wedge(a) == a
     x = OrdinaryForm.from_poly(X1, X1.var(0))

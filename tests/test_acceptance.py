@@ -9,7 +9,10 @@ from pathlib import Path
 
 from golden_cases import CASES
 
-from pathforms.pathspace import eval_pathform, map_I
+from pathforms.forms import Chart, OrdinaryForm, dx
+from pathforms.generalized import pair_encode
+from pathforms.pathspace import Plot, eval_pathform, map_I
+from pathforms.polyring import Poly
 from pathforms.serialize import (
     dumps,
     form_from_doc,
@@ -19,8 +22,13 @@ from pathforms.serialize import (
     plot_from_doc,
     plot_to_doc,
 )
-from pathforms.verify import GenConfig, gen_random, run_suite
-from pathforms.witnesses import injectivity_witnesses, kernel_negative_control
+from pathforms.verify import (
+    GenConfig,
+    Witness,
+    gen_random,
+    injectivity_cases,
+    run_suite,
+)
 
 BOUNDS = GenConfig(
     seed=1, chart_dim=3, plot_dim=2, poly_deg=3, koszul_n=3, trials=100
@@ -55,6 +63,22 @@ def test_transfer_map_commutes_with_d():
     _run("dI_commute")
 
 
+def kernel_negative_control() -> Witness:
+    """f + 2 k^{-1} (df) z, twice the kernel coefficient: its image
+    evaluates to minus the endpoint difference of f, here -u1.  A broken
+    map_I cannot pass the kernel suite by sending everything to zero."""
+    target = Chart(("x1",))
+    domain = Chart(("u1",))
+    cyl = ("t", "u1")
+    f = OrdinaryForm.from_poly(target, target.var(0))
+    return Witness(
+        "perturbed kernel element",
+        pair_encode(f, dx(target, 0).scale(2), 1),
+        Plot(target, domain, (Poly.var(cyl, "t") * Poly.var(cyl, "u1"),)),  # x1 = t u1
+        OrdinaryForm.from_poly(domain, -domain.var(0)),
+    )
+
+
 def test_kernel_elements_vanish_and_the_control_does_not():
     _run("kernel")
     control = kernel_negative_control()
@@ -66,7 +90,7 @@ def test_kernel_elements_vanish_and_the_control_does_not():
 
 
 def test_injectivity_witnesses_evaluate_nonzero():
-    witnesses = injectivity_witnesses()
+    witnesses = injectivity_cases()
     assert len(witnesses) >= 3
     for witness in witnesses:
         assert not witness.alpha.is_zero

@@ -100,7 +100,8 @@ def test_degree_bookkeeping():
     with pytest.raises(ValueError):
         mixed.degree()
     assert mixed.part(1) == dx(R2, 0)
-    assert OrdinaryForm.zero(R2).is_homogeneous(5)
+    assert OrdinaryForm.zero(R2).is_homogeneous()
+    assert OrdinaryForm.zero(R2).degree() is None
     assert mixed.homogeneous_parts()[0] == OrdinaryForm.from_poly(R2, R2.var(0))
 
 

@@ -166,25 +166,6 @@ def test_non_integer_indices_rejected():
         GeneralizedForm(R1, params, {(0.5,): dx(R1, 0)})
 
 
-@pytest.mark.parametrize("indices", [(True,), ("0",), "0", (0.0,)])
-def test_component_rejects_non_integer_indices(indices):
-    # (True,) used to read the component at (1,), and a string read zero
-    params = KoszulParams((Fraction(1), Fraction(2)))
-    g = GeneralizedForm.zeta(R1, params, 1)
-    with pytest.raises(TypeError):
-        g.component(indices)
-
-
-@pytest.mark.parametrize("indices", [(0, 0), (1, 0), (2,), (-1,)])
-def test_component_rejects_indices_outside_the_monomials(indices):
-    params = KoszulParams((Fraction(1), Fraction(2)))
-    g = GeneralizedForm.zeta(R1, params, 0, 1)
-    with pytest.raises(ValueError):
-        g.component(indices)
-    assert g.component([0, 1]) == OrdinaryForm.from_poly(R1, R1.const(1))
-    assert g.component(()) == OrdinaryForm.zero(R1)
-
-
 def test_non_form_component_rejected():
     # a Poly component used to raise AttributeError
     params = KoszulParams((Fraction(1),))

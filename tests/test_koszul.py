@@ -80,7 +80,8 @@ def test_degree_bookkeeping():
     with pytest.raises(ValueError):
         mixed.degree()
     assert mixed.part(-1) == z(K2, 0)
-    assert KoszulElement.zero(K2).is_homogeneous(-2)
+    assert KoszulElement.zero(K2).is_homogeneous()
+    assert KoszulElement.zero(K2).degree() is None
 
 
 @pytest.mark.parametrize("indices", [(0.9,), (True,)])

@@ -301,7 +301,7 @@ def explicit_mismatch(a, b, plot) -> OrdinaryForm:
 def test_wedge_prime_explicit_cross_term_cases(case):
     a, b, plot = cross_term_cases()[case]
     assert (a.degree(), b.degree()) == (1, 1)
-    cross = a.component((0,)).wedge(b.component(()))
+    cross = a.forms().get((0,)).wedge(b.forms().get(()))
     assert not eval_pathform(Chen(cross), plot).is_zero
     assert explicit_mismatch(a, b, plot).is_zero
 
@@ -309,7 +309,7 @@ def test_wedge_prime_explicit_cross_term_cases(case):
 def test_wedge_prime_explicit_front_term_case():
     a, b, plot = front_term_case()
     assert (a.degree(), b.degree()) == (1, 1)
-    front = a.component(()).wedge(b.component(()))
+    front = a.forms().get(()).wedge(b.forms().get(()))
     ends = Sum((EvPull(1, front), Scale(-1, EvPull(0, front))))
     assert eval_pathform(ends, plot) == dx(U2, 0, 1).scale(U2.var(0))
     assert explicit_mismatch(a, b, plot).is_zero
