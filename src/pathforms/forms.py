@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, _distinct
-from .polyring import checked_type
+from .polyring import _sum_of_products, checked_type
 from .signs import SignedMonomials, merge_indices, sort_with_sign
 
 
@@ -159,55 +159,72 @@ class PolyMap:
             raise MismatchError(f"expected {dim} components, got {len(comps)}")
 
     @classmethod
+    def _trusted(cls, source: Chart, target: Chart, components: tuple[Poly, ...]):
+        """The trusted constructor for components already checked to be one
+        Poly over `source` per coordinate of `target`: checks nothing."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "source", source)
+        object.__setattr__(out, "target", target)
+        object.__setattr__(out, "components", components)
+        return out
+
+    @classmethod
     def identity(cls, chart: Chart) -> PolyMap:
         return cls(chart, chart, tuple(chart.var(i) for i in range(chart.dim)))
-
-    def differentials(self) -> tuple[OrdinaryForm, ...]:
-        """The 1-forms d(m_i) on the source chart, one per target coordinate."""
-        return tuple(
-            OrdinaryForm._trusted(self.source, {(): m}).d() for m in self.components
-        )
 
     def pullback(self, form: OrdinaryForm) -> OrdinaryForm:
         """f dx_I  ->  (f o m) dm_{i1} ^ ... ^ dm_{ip} on the source chart.
 
         One table serves the whole call: every monomial image of the
-        composition is built once, and every dm_I once, by extending the
-        wedge of its prefix.  Each composed coefficient is then multiplied
-        once by each component of its dm_I.
+        composition is built once, and the minors of each dm_I once, from
+        those of its prefix: for I = P + (i,), the du_K component of dm_I
+        sums +-(the du_J component of dm_P)(d_j m_i) over the J and j that
+        merge to K.  A source component sums the composed coefficients
+        times their minors.  Each minor and each component is one
+        `_sum_of_products` call.
         """
         if form.chart != self.target:
             raise MismatchError(
                 f"form on {form.chart!r} cannot pull back along a map into "
                 f"{self.target!r}"
             )
-        table = _MonomialTable(self.components, self.source.coordinates)
-        dms = self.differentials()
-        wedges = {(): OrdinaryForm._trusted(self.source, {(): table.one})}
-        wedges.update(((i,), dm_i) for i, dm_i in enumerate(dms))
+        names = self.source.coordinates
+        table = _MonomialTable(self.components, names)
+        grads = [
+            [(j, dmij) for j, name in enumerate(names) if (dmij := m.pderiv(name))]
+            for m in self.components
+        ]
+        minors = {(): {(): table.one}}
 
-        def dm(indices: tuple[int, ...]) -> OrdinaryForm:
-            out = wedges.get(indices)
+        def minors_of(indices: tuple[int, ...]) -> dict[tuple[int, ...], Poly]:
+            out = minors.get(indices)
             if out is None:
-                out = dm(indices[:-1]).wedge(dms[indices[-1]])
-                wedges[indices] = out
+                terms: dict[tuple[int, ...], list] = {}
+                for key, minor in minors_of(indices[:-1]).items():
+                    for j, dmij in grads[indices[-1]]:
+                        merged = merge_indices(key, (j,))
+                        if merged is not None:
+                            sign, wider = merged
+                            terms.setdefault(wider, []).append((sign, minor, dmij))
+                out = {k: _sum_of_products(names, pairs) for k, pairs in terms.items()}
+                minors[indices] = out
             return out
 
-        acc: dict[tuple[int, ...], Poly] = {}
+        terms: dict[tuple[int, ...], list] = {}
         for indices, poly in form.components.items():
-            minors = [
+            kept = [
                 (key, minor)
-                for key, minor in dm(indices).components.items()
+                for key, minor in minors_of(indices).items()
                 if self._keeps(key)
             ]
-            if not minors:
-                continue
-            composed = table.compose(poly)
-            for key, minor in minors:
-                term = composed * minor
-                prev = acc.get(key)
-                acc[key] = term if prev is None else prev + term
-        return OrdinaryForm._trusted(self.source, acc)
+            if kept:
+                composed = table.compose(poly)
+                for key, minor in kept:
+                    terms.setdefault(key, []).append((1, composed, minor))
+        return OrdinaryForm._trusted(
+            self.source,
+            {key: _sum_of_products(names, pairs) for key, pairs in terms.items()},
+        )
 
     def _keeps(self, indices: tuple[int, ...]) -> bool:
         """Whether pullback computes the source component dx_indices: every

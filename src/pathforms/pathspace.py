@@ -59,7 +59,7 @@ class Plot(PolyMap):
             poly.set_var(self.time, endpoint).drop_var(self.time)
             for poly in self.components
         )
-        return PolyMap(self.domain, self.target, comps)
+        return PolyMap._trusted(self.domain, self.target, comps)
 
 
 class _DtPart(PolyMap):
@@ -100,7 +100,7 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     functions go to 0 because their pullback has no dt part.  A form off
     the plot's target is refused by the pullback.
     """
-    pulled = _DtPart(plot.source, plot.target, plot.components).pullback(form)
+    pulled = _DtPart._trusted(plot.source, plot.target, plot.components).pullback(form)
     # each kept component is dt ^ du_J (time is cylinder coordinate 0): no sign
     out: dict[tuple[int, ...], Poly] = {}
     for indices, poly in pulled.components.items():

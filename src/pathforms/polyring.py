@@ -25,7 +25,12 @@ tuples, so keys sort exactly as the tuples do.
 
 Arithmetic works on those integers: a term product is one int add and
 one int multiply, and no Fraction is normalised per term product; the
-tuple-keyed Fraction view is built once, when first read.
+tuple-keyed Fraction view is built once, when first read.  One loop
+multiplies: `_sum_of_products` accumulates a signed sum of products into
+one dict over one common denominator, a product is its one-pair case,
+and pullback sums each of its components in one call.  `_pack` is the
+one check of an exponent sequence, for the constructor and for the
+documents serialize reads straight into packed keys.
 
 The zero polynomial has no terms.  Constructors strip zero coefficients
 and keep keys in the order computed; `terms` sorts them.  Equality
@@ -44,7 +49,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 #: Scalars are exact rationals throughout the package.
 Rational = Fraction
@@ -59,9 +64,27 @@ _MASK = (1 << _W) - 1
 MAX_EXPONENT = 2 ** (_W - 1) - 1
 
 
-def _unpack(key: int, count: int) -> tuple[int, ...]:
-    """The exponent tuple of a packed key over `count` variables."""
-    return tuple([key >> s & _MASK for s in range(_W * (count - 1), -1, -_W)])
+def _unpack(key: int, count: int) -> list[int]:
+    """The exponents of a packed key over `count` variables, in order."""
+    return [key >> s & _MASK for s in range(_W * (count - 1), -1, -_W)]
+
+
+def _pack(exps: list[int] | tuple[int, ...], names: tuple[str, ...]) -> int:
+    """The packed key of a sequence of int exponents, one per variable in
+    `names`: a ValueError when the lengths differ or an exponent lies
+    outside [0, MAX_EXPONENT]."""
+    if len(exps) != len(names):
+        raise ValueError(
+            f"exponent tuple {tuple(exps)!r} does not match variables {names!r}"
+        )
+    key = 0
+    for x in exps:
+        if not 0 <= x <= MAX_EXPONENT:
+            raise ValueError(
+                f"exponent {x} outside [0, {MAX_EXPONENT}] in {tuple(exps)!r}"
+            )
+        key = key << _W | x
+    return key
 
 
 def _guard(count: int) -> int:
@@ -134,18 +157,7 @@ class Poly:
         clean: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             c = as_fraction(coeff)
-            e = as_int_tuple(exps, "exponents")
-            if len(e) != len(names):
-                raise ValueError(
-                    f"exponent tuple {e!r} does not match variables {names!r}"
-                )
-            key = 0
-            for x in e:
-                if not 0 <= x <= MAX_EXPONENT:
-                    raise ValueError(
-                        f"exponent {x} outside [0, {MAX_EXPONENT}] in {e!r}"
-                    )
-                key = key << _W | x
+            key = _pack(as_int_tuple(exps, "exponents"), names)
             if c:
                 clean[key] = c
         den = lcm(*[c.denominator for c in clean.values()])
@@ -185,7 +197,10 @@ class Poly:
         if view is None:
             den, count = self._den, len(self.variables)
             view = MappingProxyType(
-                {_unpack(key, count): Fraction(n, den) for key, n in sorted(self._nums.items())}
+                {
+                    tuple(_unpack(key, count)): Fraction(n, den)
+                    for key, n in sorted(self._nums.items())
+                }
             )
             self._terms = view
         return view
@@ -285,20 +300,7 @@ class Poly:
                 self._den * c.denominator,
             )
         self._require_same_variables(other)
-        big, small = self._nums, other._nums
-        if len(big) < len(small):
-            big, small = small, big
-        out: dict[int, int] = {}
-        get = out.get
-        # one row per term of the smaller operand: its key shifts every key
-        # of the larger one, its numerator scales every numerator
-        for eb, nb in small.items():
-            for ea, na in big.items():
-                key = ea + eb
-                out[key] = get(key, 0) + na * nb
-        if reduce(or_, out, 0) & _guard(len(self.variables)):
-            raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-        return Poly._make(self.variables, out, self._den * other._den)
+        return _sum_of_products(self.variables, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -416,6 +418,35 @@ class Poly:
         return f"Poly({self.variables!r}, {dict(self.terms)!r})"
 
 
+def _sum_of_products(
+    variables: tuple[str, ...], pairs: Sequence[tuple[int, Poly, Poly]]
+) -> Poly:
+    """The sum of sign * a * b over (sign, a, b) triples of polynomials over
+    `variables`, with each sign 1 or -1, accumulated in one dict over one
+    common denominator: the lcm of the pairs' denominator products, each
+    pair's scaled up to it.  A product exponent past MAX_EXPONENT raises
+    ValueError."""
+    den = lcm(*[a._den * b._den for _, a, b in pairs])
+    out: dict[int, int] = {}
+    get = out.get
+    for sign, a, b in pairs:
+        scale = sign * (den // (a._den * b._den))
+        big, small = a._nums, b._nums
+        if len(big) < len(small):
+            big, small = small, big
+        # one row per term of the smaller operand: its key shifts every key
+        # of the larger one, its numerator (times the scale) scales every
+        # numerator
+        for eb, nb in small.items():
+            nb *= scale
+            for ea, na in big.items():
+                key = ea + eb
+                out[key] = get(key, 0) + na * nb
+    if reduce(or_, out, 0) & _guard(len(variables)):
+        raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+    return Poly._make(variables, out, den)
+
+
 class _MonomialTable:
     """Images of monomials under one substitution, built once and shared by
     every polynomial composed through it.
@@ -464,7 +495,10 @@ class _MonomialTable:
         """poly with every variable replaced by its image: the sum of the
         coefficients times the monomial images, over one common denominator."""
         count = len(poly.variables)
-        pairs = [(n, self.monomial(_unpack(key, count))) for key, n in poly._nums.items()]
+        pairs = [
+            (n, self.monomial(tuple(_unpack(key, count))))
+            for key, n in poly._nums.items()
+        ]
         den = lcm(*(image._den for _, image in pairs))
         out: dict[int, int] = {}
         get = out.get

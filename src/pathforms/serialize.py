@@ -16,6 +16,11 @@ t, u1..um and x1..xN unless a target chart is supplied.  to_doc() encodes
 any value by its type and from_doc() decodes by type name.  dumps() is the
 single canonical renderer (sorted keys, two-space indent, trailing
 newline) so equal values always serialize to identical bytes.
+
+A polynomial's term list is coded in one pass each way, with no Fraction
+per term: poly_to_doc writes straight from the packed integer numerators
+and their common denominator, and poly_from_doc reads each "num/den" as
+two ints into packed keys over the lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd, lcm
 from typing import Any, Callable, Mapping
 
 from .forms import Chart, OrdinaryForm
@@ -40,7 +46,7 @@ from .pathspace import (
     Sum,
     Wedge,
 )
-from .polyring import MismatchError, Poly
+from .polyring import MismatchError, Poly, _distinct, _pack, _unpack
 
 
 class ParseError(ValueError):
@@ -125,21 +131,27 @@ def _construct(make: Callable[..., Any], *args: Any) -> Any:
 # -- rationals ----------------------------------------------------------------
 
 
+def _digits_error() -> ValueError:
+    """The error for a result rational past int()'s digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return ValueError(
+        f"a rational in the result has more than {limit} digits, "
+        "the limit on writing an integer as text"
+    )
+
+
 def frac_to_str(value: Fraction) -> str:
     """The text "num/den"; past int()'s digit limit, a ValueError naming it."""
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"a rational in the result has more than {limit} digits, "
-            "the limit on writing an integer as text"
-        ) from None
+        raise _digits_error() from None
 
 
-def frac_from_str(text: Any) -> Fraction:
-    """The rational a string "num/den" or "num" names: ASCII digits, the
-    numerator optionally signed with "-", read by int() and normalised."""
+def _rational(text: Any) -> tuple[int, int]:
+    """The numerator and positive denominator, as written and not reduced,
+    of a string "num/den" or "num": ASCII digits, the numerator optionally
+    signed with "-", read by int()."""
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
     num, slash, den = text.partition("/")
@@ -149,10 +161,18 @@ def frac_from_str(text: Any) -> Fraction:
             f"bad rational {text!r}: Invalid literal for Fraction: {text!r}"
         )
     try:
-        return Fraction(int(num), int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError) as e:
-        # a number past int()'s digit limit, or a zero denominator
+        n, d = int(num), int(den) if slash else 1
+    except ValueError as e:  # a number past int()'s digit limit
         raise ParseError(f"bad rational {text!r}: {e}") from e
+    if not d:
+        raise ParseError(f"bad rational {text!r}: Fraction({n}, 0)")
+    return n, d
+
+
+def frac_from_str(text: Any) -> Fraction:
+    """The rational a string "num/den" or "num" names, by _rational's
+    grammar, normalised."""
+    return Fraction(*_rational(text))
 
 
 def _expect(doc: Any, kind: type, what: str) -> Any:
@@ -181,10 +201,13 @@ def _entries(
     return [{key: list(indices), value: encode(v)} for indices, v in items]
 
 
-def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
-    """A list of {key: [ints], value: ...} objects as a dict from index
-    tuples to parsed values; a repeated index tuple is an error."""
-    out: dict[tuple[int, ...], Any] = {}
+def _keyed(
+    doc: Any, key: str, value: str, parse: Callable, what: str, index: Callable = tuple
+) -> dict:
+    """A list of {key: [ints], value: ...} objects as a dict from index(ints)
+    (by default the index tuple) to parsed values, checked in document
+    order, each entry's key before its value; a repeated index is an error."""
+    out: dict[Any, Any] = {}
     for item in _expect(doc, list, what):
         obj = _expect(item, dict, f"an entry of {what}")
         items = obj.get(key)
@@ -192,9 +215,9 @@ def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
             # the slow path names the first offender, or passes subclasses
             for i in _expect(items, list, f"{what} {key}"):
                 _expect(i, int, f"{what} {key}")
-        indices = tuple(items)
+        indices = index(items)
         if indices in out:
-            raise ParseError(f"duplicate {key} {list(indices)} in {what}")
+            raise ParseError(f"duplicate {key} {list(items)} in {what}")
         out[indices] = parse(obj.get(value))
     return out
 
@@ -203,12 +226,37 @@ def _keyed(doc: Any, key: str, value: str, parse: Callable, what: str) -> dict:
 
 
 def poly_to_doc(poly: Poly) -> list:
-    return _entries(poly.terms, "exps", "coeff", frac_to_str)
+    """The term list of a polynomial, by exponent tuple, written straight
+    from its packed numerators over their common denominator: the packed
+    keys sort as the tuples do, and each coefficient is reduced by one gcd."""
+    den, nums, count = poly._den, poly._nums, len(poly.variables)
+    out = []
+    try:
+        for key in sorted(nums):
+            n = nums[key]
+            g = gcd(n, den)
+            out.append({"coeff": f"{n // g}/{den // g}", "exps": _unpack(key, count)})
+    except ValueError:
+        raise _digits_error() from None
+    return out
 
 
 def poly_from_doc(doc: Any, variables: tuple[str, ...]) -> Poly:
-    terms = _keyed(doc, "exps", "coeff", frac_from_str, "a polynomial")
-    return _construct(Poly, variables, terms)
+    """The polynomial of a term list over the given variables, read in one
+    pass straight into packed keys and integer numerators over the lcm of
+    the denominators.  Entries are checked in document order, each one's
+    exps before its coeff, and the first faulty entry is the one reported."""
+    names = _construct(_distinct, variables)
+
+    def pack(exps: list) -> int:
+        try:
+            return _pack(exps, names)
+        except ValueError as e:
+            raise ParseError(str(e)) from e
+
+    terms = _keyed(doc, "exps", "coeff", _rational, "a polynomial", pack)
+    den = lcm(*(d for _, d in terms.values()))
+    return Poly._make(names, {k: n * (den // d) for k, (n, d) in terms.items()}, den)
 
 
 # -- charts and forms ---------------------------------------------------------

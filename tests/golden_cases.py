@@ -7,6 +7,8 @@ regeneration, a golden file cannot silently drift away from the
 arithmetic it records.
 """
 
+import itertools
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -518,6 +520,77 @@ def case_cli_dispatch() -> dict:
     return {"d": d_doc, "chen": chen_doc, "verify": verify_doc}
 
 
+def _full_poly(rng: random.Random, variables: tuple[str, ...], degree: int) -> Poly:
+    """Every monomial of total degree <= degree, with a nonzero coefficient."""
+    return Poly(
+        variables,
+        {
+            exps: Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+            for exps in itertools.product(range(degree + 1), repeat=len(variables))
+            if sum(exps) <= degree
+        },
+    )
+
+
+def _full_form(rng: random.Random, chart: Chart, degree: int) -> OrdinaryForm:
+    """A form with every component of the given degree, each full to degree 2."""
+    return OrdinaryForm(
+        chart,
+        {
+            indices: _full_poly(rng, chart.coordinates, 2)
+            for indices in itertools.combinations(range(chart.dim), degree)
+        },
+    )
+
+
+def dense_instance() -> tuple[OrdinaryForm, Plot, GeneralizedForm]:
+    """(w, plot, alpha) from a fixed seed: a 2-form w on a 3-dim chart and
+    a plot over (t, u1, u2), every polynomial full to degree 2, and
+    alpha = w1 + w z with a full 1-form w1 and k = -3/2."""
+    rng = random.Random("cli-dense:0")
+    X3 = Chart(("x1", "x2", "x3"))
+    cylinder = ("t", "u1", "u2")
+    w = _full_form(rng, X3, 2)
+    plot = Plot(
+        X3,
+        Chart(cylinder[1:]),
+        tuple(_full_poly(rng, cylinder, 2) for _ in range(X3.dim)),
+    )
+    return w, plot, pair_encode(_full_form(rng, X3, 1), w, Fraction(-3, 2))
+
+
+def case_cli_dense() -> dict:
+    """The CLI's path-space verbs on the dense instance."""
+    w, plot, alpha = dense_instance()
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        names = ("w", "plot", "alpha", "chen", "ev0", "ev1", "imap", "eval")
+        path = {name: str(Path(tmp) / f"{name}.json") for name in names}
+        for name, doc in (
+            ("w", form_to_doc(w)),
+            ("plot", plot_to_doc(plot)),
+            ("alpha", gen_to_doc(alpha)),
+        ):
+            Path(path[name]).write_text(dumps(doc))
+        verbs = {
+            "chen": ["chen", path["w"], path["plot"]],
+            "ev0": ["ev", path["w"], path["plot"], "--endpoint", "0"],
+            "ev1": ["ev", path["w"], path["plot"], "--endpoint", "1"],
+            "imap": ["imap", path["alpha"]],
+            "eval": ["eval", path["imap"], path["plot"]],
+        }
+        for name, argv in verbs.items():
+            assert main(argv + ["--out", path[name]]) == 0
+            out[name] = loads(Path(path[name]).read_text())
+    w1, _ = pair_decode(alpha)
+    assert out["chen"] == form_to_doc(chen_integral(w, plot))
+    assert out["imap"] == expr_to_doc(map_I(alpha))
+    ends = ev_pullback(1, w1, plot) - ev_pullback(0, w1, plot)
+    assert out["eval"] == form_to_doc(ends + chen_integral(w, plot).scale(Fraction(-3, 2)))
+    assert out["ev1"] == form_to_doc(ev_pullback(1, w, plot))
+    return out
+
+
 CASES = {
     "poly_add": case_poly_add,
     "poly_mul": case_poly_mul,
@@ -542,4 +615,5 @@ CASES = {
     "run_suite": case_run_suite,
     "gen_random": case_gen_random,
     "cli_dispatch": case_cli_dispatch,
+    "cli_dense": case_cli_dense,
 }

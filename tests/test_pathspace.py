@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import CASES
+from golden_cases import CASES, dense_instance
 import pathforms.generalized as generalized
 import pathforms.pathspace as pathspace
+import pathforms.polyring as polyring
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
 from pathforms.generalized import GeneralizedForm, pair_encode
 from pathforms.koszul import KoszulParams
@@ -165,6 +166,21 @@ def test_chain_homotopy_values_on_curve():
         U1, U1.var(0) * Fraction(2, 3)
     )
     assert chen_integral(w.d(), plot) == dx(U1, 0).scale(Fraction(-2, 3))
+
+
+def dense_homotopy_defect() -> OrdinaryForm:
+    """chen(dw) + d chen(w) - (ev1* w - ev0* w) on the dense golden
+    instance, whose polynomials are full to degree 2 with rational
+    coefficients: each pullback component there sums products over several
+    denominators and signs.  Zero when the chain homotopy holds."""
+    w, plot, _ = dense_instance()
+    boundary = ev_pullback(1, w, plot) - ev_pullback(0, w, plot)
+    assert not boundary.is_zero
+    return chen_integral(w.d(), plot) + chen_integral(w, plot).d() - boundary
+
+
+def test_chain_homotopy_on_the_dense_instance():
+    assert dense_homotopy_defect().is_zero
 
 
 def test_map_I_degree_minus_one_is_zero():
@@ -342,14 +358,18 @@ CHECKS = {
     **{f"suite:{name}": _suite_check(name) for name in ALL_SUITES},
     **{
         f"golden:{name}": _golden_check(name)
-        for name in ("map_I", "eval_pathform", "wedge_prime", "gen_d", "koszul_d")
+        for name in (
+            "map_I", "eval_pathform", "wedge_prime", "gen_d", "koszul_d", "cli_dense"
+        )
     },
     "cross_case_0": _case_check(lambda: cross_term_cases()[0]),
     "cross_case_1": _case_check(lambda: cross_term_cases()[1]),
     "front_case": _case_check(front_term_case),
+    "dense_homotopy": lambda: not dense_homotopy_defect().is_zero,
 }
 
 CHEN_SIGN = "coeff = k * (-1 if p % 2 == 0 else 1)"
+PAIR_SCALE = "scale = sign * (den // (a._den * b._den))"
 CROSS_TERM = "combo = combo + (cross if q % 2 == 0 else -cross)"
 KERNEL = ("suite:kernel", "suite:dI_commute", "golden:map_I")
 
@@ -455,6 +475,18 @@ MUTATIONS = {
             "bisect_left(indices, self._context[0].dim)",
         ),
         KERNEL + ("suite:injectivity_witness",),
+    ),
+    "drop_pair_scale": (
+        polyring,
+        "_sum_of_products",
+        (PAIR_SCALE, "scale = sign"),
+        ("suite:dI_commute", "golden:cli_dense", "dense_homotopy"),
+    ),
+    "drop_pair_sign": (
+        polyring,
+        "_sum_of_products",
+        (PAIR_SCALE, "scale = den // (a._den * b._den)"),
+        ("suite:dI_commute", "golden:cli_dense", "dense_homotopy"),
     ),
     "drop_contract_sign": (
         SignedMonomials,
@@ -577,6 +609,27 @@ def test_a_plot_is_the_map_from_its_cylinder(monkeypatch):
     # the cylinder is built once, by the constructor, not on each read
     assert plot.source is plot.source
     assert built == []
+
+
+def test_derived_maps_are_not_rechecked(monkeypatch):
+    # the Chen integral's dt-part map and an endpoint map are built from a
+    # plot's own checked components, so neither runs PolyMap's checks again
+    plot = line_plot()
+    checked = []
+    post_init = PolyMap.__post_init__
+
+    def counted(poly_map):
+        checked.append(poly_map)
+        post_init(poly_map)
+
+    monkeypatch.setattr(PolyMap, "__post_init__", counted)
+    assert chen_integral(dx(X1, 0), plot) == OrdinaryForm.from_poly(U1, U1.var(0))
+    f = OrdinaryForm.from_poly(X1, X1.var(0))
+    assert ev_pullback(1, f, plot) == OrdinaryForm.from_poly(U1, U1.var(0))
+    assert ev_pullback(0, f, plot).is_zero
+    assert checked == []
+    line_plot()
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("endpoint", [True, 1.0])

@@ -14,7 +14,7 @@ from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import pair_encode
 from pathforms.koszul import KoszulElement, KoszulParams
 from pathforms.pathspace import Chen, Diff, EvPull, Plot, Scale, Sum, Wedge, map_I
-from pathforms.polyring import MismatchError, Poly
+from pathforms.polyring import MAX_EXPONENT, MismatchError, Poly
 from pathforms.serialize import (
     MAX_EXPR_DEPTH,
     ParseError,
@@ -130,20 +130,35 @@ def test_dumps_matches_json_on_golden_documents(path):
     assert dumps(json.loads(text)) == reference_dumps(json.loads(text)) == text
 
 
+class _Int(int):
+    """An int subclass, which json writes by int.__repr__ like an int."""
+
+
+class _Str(str):
+    """A str subclass, which json escapes like a str."""
+
+
 _tricky_text = st.text(
     st.sampled_from('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\ud800\U0001f600a')
     | st.characters()
 )
+_ints = st.integers(-(10**400), 10**400)
 _json_scalars = (
     st.none()
     | st.booleans()
-    | st.integers(-(10**400), 10**400)
+    | _ints
+    | _ints.map(_Int)
     | st.floats()
     | st.just(0.0)
     | _tricky_text
+    | _tricky_text.map(_Str)
+)
+# lists of ints, a term list's exps, mixed with bools and int subclasses
+_int_lists = st.lists(_ints, max_size=4) | st.lists(
+    _ints | st.booleans() | _ints.map(_Int), max_size=4
 )
 _json_trees = st.recursive(
-    _json_scalars,
+    _json_scalars | _int_lists,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(_tricky_text, children, max_size=4),
@@ -153,6 +168,27 @@ _json_trees = st.recursive(
 
 @given(_json_trees)
 def test_dumps_matches_json_on_generated_trees(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [True, 1],
+        [1, True],
+        [1, False, 0],
+        [_Int(3), 1],
+        (1, 2),
+        [1.0, 2],
+        [],
+        [[]],
+        [[1], [], {}],
+        {"a": [], "b": {}, "c": [[2, 3]]},
+        {"exps": [0, 2**70, -1], "coeff": "-3/4"},
+        {"k": 'q"u\\o\u00e9te\n', "v": _Str("\u2028"), "n": None, "f": 1.5, "b": True},
+    ],
+)
+def test_dumps_matches_json_on_term_list_shapes(doc):
     assert dumps(doc) == reference_dumps(doc)
 
 
@@ -182,23 +218,111 @@ def test_poly_round_trip():
     assert poly_from_doc(loads(dumps(doc)), ("x1", "x2")) == poly
 
 
+# (document over ("x",), the exact message of its ParseError)
+POLY_DOC_FAULTS = [
+    ({"coeff": "1/1"}, "expected list for a polynomial, got dict"),
+    ([[0]], "expected dict for an entry of a polynomial, got list"),
+    (
+        [{"coeff": "1/1", "exps": [0, 0]}],
+        "exponent tuple (0, 0) does not match variables ('x',)",
+    ),
+    (
+        [{"coeff": "1/1", "exps": [-1]}],
+        f"exponent -1 outside [0, {MAX_EXPONENT}] in (-1,)",
+    ),
+    (
+        [{"coeff": "1/1", "exps": [2**63]}],
+        f"exponent {2**63} outside [0, {MAX_EXPONENT}] in ({2**63},)",
+    ),
+    ([{"coeff": "1/1", "exps": [True]}], "expected int for a polynomial exps, got bool"),
+    (
+        [{"coeff": "1/1", "exps": [1]}, {"coeff": "2/1", "exps": [1]}],
+        "duplicate exps [1] in a polynomial",
+    ),
+    ([{"coeff": "1/1"}], "expected list for a polynomial exps, got NoneType"),
+    (
+        [{"coeff": "a/b", "exps": [0]}],
+        "bad rational 'a/b': Invalid literal for Fraction: 'a/b'",
+    ),
+    ([{"exps": [0]}], "expected a rational string, got None"),
+    ([{"coeff": "1/0", "exps": [0]}], "bad rational '1/0': Fraction(1, 0)"),
+    # two faults: the first faulty entry in document order is reported,
+    # and within an entry its exps before its coeff
+    (
+        [{"coeff": "1/1", "exps": [0, 0]}, {"coeff": "a/b", "exps": [1]}],
+        "exponent tuple (0, 0) does not match variables ('x',)",
+    ),
+    (
+        [{"coeff": "a/b", "exps": [2]}, {"coeff": "1/1", "exps": [-1]}],
+        "bad rational 'a/b': Invalid literal for Fraction: 'a/b'",
+    ),
+    ([{"coeff": "a/b", "exps": [True]}], "expected int for a polynomial exps, got bool"),
+]
+
+
 def test_poly_doc_rejections():
-    with pytest.raises(ParseError):
-        poly_from_doc({"coeff": "1/1"}, ("x",))
-    with pytest.raises(ParseError):
-        poly_from_doc([{"coeff": "1/1", "exps": [0, 0]}], ("x",))  # bad arity
-    with pytest.raises(ParseError):
-        poly_from_doc([{"coeff": "1/1", "exps": [True]}], ("x",))
-    with pytest.raises(ParseError):
-        poly_from_doc(
-            [
-                {"coeff": "1/1", "exps": [1]},
-                {"coeff": "2/1", "exps": [1]},
-            ],
-            ("x",),
-        )
-    with pytest.raises(ParseError):
-        poly_from_doc([{"coeff": "1/1", "exps": [-1]}], ("x",))
+    for doc, message in POLY_DOC_FAULTS:
+        with pytest.raises(ParseError) as caught:
+            poly_from_doc(doc, ("x",))
+        assert str(caught.value) == message
+
+
+_exponents = st.integers(0, 3) | st.sampled_from([MAX_EXPONENT, MAX_EXPONENT - 1, 2**32])
+
+
+@st.composite
+def _polys(draw) -> Poly:
+    """A Poly over 0-3 variables whose numerators and denominators reach
+    past 64 bits and whose exponents reach MAX_EXPONENT."""
+    names = ("x", "y", "z")[: draw(st.integers(0, 3))]
+    coeffs = st.fractions(max_denominator=2**80).filter(bool) | st.builds(
+        Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**90)
+    )
+    terms = draw(
+        st.dictionaries(st.tuples(*[_exponents] * len(names)), coeffs, max_size=6)
+    )
+    return Poly(names, terms)
+
+
+@given(_polys())
+def test_poly_docs_round_trip(poly):
+    doc = poly_to_doc(poly)
+    # the document lists the Fraction view's terms in order, each reduced
+    assert doc == [
+        {"coeff": f"{c.numerator}/{c.denominator}", "exps": list(exps)}
+        for exps, c in poly.terms.items()
+    ]
+    assert poly_from_doc(doc, poly.variables) == poly
+    assert poly_from_doc(loads(dumps(doc)), poly.variables) == poly
+
+
+@pytest.mark.parametrize("text", ["2/4", "-0/5", "007/010", "-6/9", "0/1", "12"])
+def test_unreduced_rationals_decode_as_frac_from_str(text):
+    expected = Poly(("x",), {(1,): frac_from_str(text)})
+    assert poly_from_doc([{"coeff": text, "exps": [1]}], ("x",)) == expected
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-(2**70), 2**70),
+            st.integers(1, 2**70),
+            st.integers(0, 3),
+            st.integers(0, 3),
+        ),
+        max_size=5,
+    )
+)
+def test_unreduced_rational_terms_decode_as_frac_from_str(terms):
+    # each term's rational is written unreduced, with leading zeros, and
+    # the denominators may share factors or cancel a numerator
+    texts = [
+        ("-" if n < 0 else "") + "0" * zn + str(abs(n)) + "/" + "0" * zd + str(d)
+        for n, d, zn, zd in terms
+    ]
+    doc = [{"coeff": text, "exps": [i]} for i, text in enumerate(texts)]
+    expected = Poly(("x",), {(i,): frac_from_str(text) for i, text in enumerate(texts)})
+    assert poly_from_doc(doc, ("x",)) == expected
 
 
 def test_chart_round_trip():
