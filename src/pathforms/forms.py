@@ -16,7 +16,7 @@ graded slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, _distinct
 from .polyring import _sum_of_products, checked_type
@@ -173,15 +173,30 @@ class PolyMap:
         return cls(chart, chart, tuple(chart.var(i) for i in range(chart.dim)))
 
     def pullback(self, form: OrdinaryForm) -> OrdinaryForm:
-        """f dx_I  ->  (f o m) dm_{i1} ^ ... ^ dm_{ip} on the source chart.
+        """f dx_I  ->  (f o m) dm_{i1} ^ ... ^ dm_{ip} on the source chart:
+        each component is one `_sum_of_products` call over its pairs."""
+        names = self.source.coordinates
+        terms = self._pairs(form)
+        return OrdinaryForm._trusted(
+            self.source,
+            {key: _sum_of_products(names, pairs) for key, pairs in terms.items()},
+        )
+
+    def _pairs(
+        self,
+        form: OrdinaryForm,
+        keeps: Callable[[tuple[int, ...]], bool] = lambda key: True,
+    ) -> dict[tuple[int, ...], list[tuple[int, Poly, Poly]]]:
+        """The (sign, composed, minor) triples whose products sum to each
+        source component du_K of the pullback, for the K that `keeps`
+        accepts; no other component's coefficients are composed or
+        multiplied.
 
         One table serves the whole call: every monomial image of the
         composition is built once, and the minors of each dm_I once, from
         those of its prefix: for I = P + (i,), the du_K component of dm_I
         sums +-(the du_J component of dm_P)(d_j m_i) over the J and j that
-        merge to K.  A source component sums the composed coefficients
-        times their minors.  Each minor and each component is one
-        `_sum_of_products` call.
+        merge to K, in one `_sum_of_products` call.
         """
         if form.chart != self.target:
             raise MismatchError(
@@ -213,21 +228,10 @@ class PolyMap:
         terms: dict[tuple[int, ...], list] = {}
         for indices, poly in form.components.items():
             kept = [
-                (key, minor)
-                for key, minor in minors_of(indices).items()
-                if self._keeps(key)
+                (key, minor) for key, minor in minors_of(indices).items() if keeps(key)
             ]
             if kept:
                 composed = table.compose(poly)
                 for key, minor in kept:
                     terms.setdefault(key, []).append((1, composed, minor))
-        return OrdinaryForm._trusted(
-            self.source,
-            {key: _sum_of_products(names, pairs) for key, pairs in terms.items()},
-        )
-
-    def _keeps(self, indices: tuple[int, ...]) -> bool:
-        """Whether pullback computes the source component dx_indices: every
-        one here; a private subclass that needs only part of the pullback
-        drops the rest before the composed coefficients are multiplied."""
-        return True
+        return terms

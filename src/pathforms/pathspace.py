@@ -9,8 +9,9 @@ against plots, which is where all identities are checked.
 
 The t-integral works through the unique split of a form on the
 (t, u)-chart as dt ^ wdot + wbar with neither piece containing dt, then
-integrates the coefficients of wdot over t in [0, 1].  It lowers degree
-by 1 and kills functions.  map_I sends an n=1 generalized form of
+integrates the coefficients of wdot over t in [0, 1], each as its
+products are summed, so no product over (t, u) is built.  It lowers
+degree by 1 and kills functions.  map_I sends an n=1 generalized form of
 degree p to
 
     ev_1^* w_p - ev_0^* w_p + k (-1)^{p+1} integral_0^1 w_{p+1}
@@ -28,7 +29,8 @@ from typing import ClassVar
 
 from .forms import Chart, OrdinaryForm, PolyMap
 from .generalized import GeneralizedForm, pair_decode
-from .polyring import MismatchError, Poly, as_fraction, checked_type
+from .polyring import MismatchError, Poly, _integral_of_products, as_fraction
+from .polyring import checked_type
 
 
 def _check_endpoint(endpoint: int) -> None:
@@ -62,15 +64,6 @@ class Plot(PolyMap):
         return PolyMap._trusted(self.domain, self.target, comps)
 
 
-class _DtPart(PolyMap):
-    """A plot's map from its cylinder, whose pullback keeps only the
-    components with a dt factor (time is cylinder coordinate 0): the only
-    part the t-integral sees, so the rest is never multiplied out."""
-
-    def _keeps(self, indices: tuple[int, ...]) -> bool:
-        return indices[:1] == (0,)
-
-
 def decompose(form: OrdinaryForm, time: str) -> tuple[OrdinaryForm, OrdinaryForm]:
     """Split a form on a chart containing `time` as dt ^ wdot + wbar.
 
@@ -97,15 +90,17 @@ def chen_integral(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     """Integrate the dt-component of the plot pullback over t in [0,1].
 
     Sends a (p+1)-form on the target to a p-form on the plot's domain;
-    functions go to 0 because their pullback has no dt part.  A form off
-    the plot's target is refused by the pullback.
+    functions go to 0 because their pullback has no dt part.  Only the
+    pair lists of the components with a dt factor (time is cylinder
+    coordinate 0) are built.  A form off the plot's target is refused by
+    the pullback.
     """
-    pulled = _DtPart._trusted(plot.source, plot.target, plot.components).pullback(form)
-    # each kept component is dt ^ du_J (time is cylinder coordinate 0): no sign
+    names = plot.domain.coordinates
+    # each kept component is dt ^ du_J: no sign
     out: dict[tuple[int, ...], Poly] = {}
-    for indices, poly in pulled.components.items():
+    for indices, pairs in plot._pairs(form, lambda key: key[:1] == (0,)).items():
         rest = tuple(i - 1 for i in indices[1:])
-        out[rest] = poly.defint01(plot.time).drop_var(plot.time)
+        out[rest] = _integral_of_products(names, pairs)
     return OrdinaryForm._trusted(plot.domain, out)
 
 

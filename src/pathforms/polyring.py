@@ -28,7 +28,11 @@ one int multiply, and no Fraction is normalised per term product; the
 tuple-keyed Fraction view is built once, when first read.  One loop
 multiplies: `_sum_of_products` accumulates a signed sum of products into
 one dict over one common denominator, a product is its one-pair case,
-and pullback sums each of its components in one call.  `_pack` is the
+and pullback sums each of its components in one call.
+`_integral_of_products` integrates such a sum over [0, 1] in its first
+variable before it multiplies: it weighs the t-slices of one operand of
+each pair against each t-power of the other and hands the products of
+the slices, which no longer hold t, to that loop.  `_pack` is the
 one check of an exponent sequence, for the constructor and for the
 documents serialize reads straight into packed keys.
 
@@ -62,6 +66,8 @@ _MASK = (1 << _W) - 1
 
 #: The largest exponent a Poly holds: each field's top bit stays clear.
 MAX_EXPONENT = 2 ** (_W - 1) - 1
+
+_TOO_BIG = f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}"
 
 
 def _unpack(key: int, count: int) -> list[int]:
@@ -443,8 +449,49 @@ def _sum_of_products(
                 key = ea + eb
                 out[key] = get(key, 0) + na * nb
     if reduce(or_, out, 0) & _guard(len(variables)):
-        raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        raise ValueError(_TOO_BIG)
     return Poly._make(variables, out, den)
+
+
+def _integral_of_products(
+    variables: tuple[str, ...], pairs: Sequence[tuple[int, Poly, Poly]]
+) -> Poly:
+    """The integral over t in [0, 1] of the sum of sign * a * b, for
+    (sign, a, b) triples of polynomials over (t,) + `variables`, as a
+    polynomial over `variables`: the sum of b_j * c_j, where
+    c_j = sum_i a_i / (i + j + 1) over one lcm of the weights and a_i, b_j
+    are the t^i and t^j slices, a the operand with more terms.  t-exponents
+    are never added into a key, so a pair whose largest t-exponents sum
+    past MAX_EXPONENT raises the product's ValueError here."""
+    shift = _W * len(variables)
+    low = (1 << shift) - 1
+    flat = []
+    for sign, a, b in pairs:
+        if len(a._nums) < len(b._nums):
+            a, b = b, a
+        big: dict[int, dict[int, int]] = {}
+        small: dict[int, dict[int, int]] = {}
+        for nums, split in ((a._nums, big), (b._nums, small)):
+            for key, n in nums.items():
+                split.setdefault(key >> shift, {})[key & low] = n
+        if not small:
+            continue
+        if max(big) + max(small) > MAX_EXPONENT:
+            raise ValueError(_TOO_BIG)
+        weights = {(i, j): i + j + 1 for i in big for j in small}
+        scale = lcm(*weights.values())
+        den = a._den * scale
+        for j, bj in small.items():
+            cj: dict[int, int] = {}
+            get = cj.get
+            for i, ai in big.items():
+                w = scale // weights[i, j]
+                for key, n in ai.items():
+                    cj[key] = get(key, 0) + n * w
+            flat.append(
+                (sign, Poly._make(variables, bj, b._den), Poly._make(variables, cj, den))
+            )
+    return _sum_of_products(variables, flat)
 
 
 class _MonomialTable:

@@ -401,6 +401,20 @@ def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_chen_past_the_exponent_limit_exits_3(tmp_path, capsys):
+    # x1 = t^(2^62 + 1) u1 reads in, but x1 dx1 pulls back to a dt part
+    # with t^(2^63 + 1), past MAX_EXPONENT, though the t-integral of that
+    # product would take the t-exponent away again
+    x1 = Chart(("x1",))
+    plot = Plot(x1, Chart(("u1",)), (Poly(("t", "u1"), {(2**62 + 1, 1): 1}),))
+    form = dx(x1, 0).scale(x1.var(0))
+    fpath = write_doc(tmp_path, "form.json", form_to_doc(form))
+    ppath = write_doc(tmp_path, "plot.json", plot_to_doc(plot))
+    status, out, err = run(capsys, "chen", fpath, ppath)
+    assert (status, out) == (3, "")
+    assert err == f"error: a product exponent exceeds MAX_EXPONENT = {2**63 - 1}\n"
+
+
 @pytest.mark.parametrize("coeff", ["1e10000000", "1e1000000", "0.5"])
 def test_coefficient_outside_the_rational_grammar_exits_2_at_once(
     tmp_path, capsys, coeff

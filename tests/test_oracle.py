@@ -1,8 +1,9 @@
 """Independent oracles for the polynomial kernel and the pullback table.
 
-`Poly` arithmetic, `compose`, `pderiv`, `defint01`, `set_var`, `drop_var`
-and `total_degree` are compared with sympy's sparse `ring(QQ)` (sympy is a
-test-only oracle, skipped when it is not installed).  Sums, differences,
+`Poly` arithmetic, `compose`, `pderiv`, `defint01`, `set_var`, `drop_var`,
+`total_degree` and the t-integral of a sum of products are compared with
+sympy's sparse `ring(QQ)` and `integrate` (sympy is a test-only oracle,
+skipped when it is not installed).  Sums, differences,
 derivatives, integrals and dropped variables are also checked with
 exponents near MAX_EXPONENT, where a packed key's fields sit next to
 their top bit, so a carry between fields or a misordered key would show.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from pathforms.forms import Chart, OrdinaryForm
 from pathforms.pathspace import Plot, chen_integral, decompose, ev_pullback
-from pathforms.polyring import MAX_EXPONENT, Poly
+from pathforms.polyring import MAX_EXPONENT, Poly, _integral_of_products
 from pathforms.serialize import default_target_chart
 from pathforms.verify import GenConfig, _rng, rand_form_mixed, rand_plot
 
@@ -88,6 +89,20 @@ def test_defint01_matches_sympy(a):
     x = sympy.Symbol("x")
     expected = sympy.integrate(to_ring(a).as_expr(), (x, 0, 1))
     assert a.defint01("x") == from_ring(R(expected))
+
+
+@settings(max_examples=25)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), polys, polys), max_size=3))
+def test_integral_of_products_matches_sympy(pairs):
+    # x is the variable integrated over [0, 1], y the one that stays
+    x, y = sympy.symbols("x y")
+    product = sum(
+        (sign * (to_ring(a) * to_ring(b)).as_expr() for sign, a, b in pairs), sympy.Integer(0)
+    )
+    expected = sympy.Poly(sympy.integrate(product, (x, 0, 1)), y, domain=QQ).terms()
+    assert _integral_of_products(("y",), pairs) == Poly(
+        ("y",), {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in expected}
+    )
 
 
 @given(wide_polys, wide_polys)

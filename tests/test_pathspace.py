@@ -125,6 +125,16 @@ def test_chen_of_x_dx():
     assert chen_integral(w, line_plot()) == expected
 
 
+@pytest.mark.parametrize("exps", [(2**62 + 1, 1), (1, 2**62 + 1)], ids=["t", "u1"])
+def test_chen_refuses_a_product_exponent_past_the_limit(exps):
+    # x1 = t^i u1^j pulls x1 dx1 back to a dt part i t^(2i-1) u1^(2j): with
+    # i = 2^62 + 1 its t-exponent passes MAX_EXPONENT, which the integral
+    # over t would take away again, and with j = 2^62 + 1 its u1-exponent
+    plot = Plot(X1, U1, (Poly(("t", "u1"), {exps: 1}),))
+    with pytest.raises(ValueError, match="a product exponent exceeds MAX_EXPONENT"):
+        chen_integral(dx(X1, 0).scale(X1.var(0)), plot)
+
+
 def test_ev_pullback_endpoints():
     f = OrdinaryForm.from_poly(X1, X1.var(0))
     assert ev_pullback(1, f, line_plot()) == OrdinaryForm.from_poly(U1, U1.var(0))
@@ -181,6 +191,27 @@ def dense_homotopy_defect() -> OrdinaryForm:
 
 def test_chain_homotopy_on_the_dense_instance():
     assert dense_homotopy_defect().is_zero
+
+
+def test_chen_integrates_before_it_multiplies(monkeypatch):
+    # the term products of every `_sum_of_products` call, the sum over its
+    # pairs of the operands' term counts multiplied: multiplying out each dt
+    # component over (t, u), then integrating, took 3,012 for the Chen
+    # integral here; integrating the larger operand of each pair against
+    # each t-power of the other first takes 1,812
+    w, plot, _ = dense_instance()
+    original = polyring._sum_of_products
+    counts = []
+
+    def counted(variables, pairs):
+        counts[-1] += sum(len(a._nums) * len(b._nums) for _, a, b in pairs)
+        return original(variables, pairs)
+
+    plant(monkeypatch, polyring, "_sum_of_products", counted)
+    for compute in (lambda: chen_integral(w, plot), lambda: ev_pullback(1, w, plot)):
+        counts.append(0)
+        compute()
+    assert counts == [1812, 552]
 
 
 def test_map_I_degree_minus_one_is_zero():
@@ -372,6 +403,7 @@ CHEN_SIGN = "coeff = k * (-1 if p % 2 == 0 else 1)"
 PAIR_SCALE = "scale = sign * (den // (a._den * b._den))"
 CROSS_TERM = "combo = combo + (cross if q % 2 == 0 else -cross)"
 KERNEL = ("suite:kernel", "suite:dI_commute", "golden:map_I")
+WEIGHT = "weights = {(i, j): i + j + 1 for i in big for j in small}"
 
 # name: (owner, attribute, (line, mutant line) or replacement, checks)
 MUTATIONS = {
@@ -486,6 +518,18 @@ MUTATIONS = {
         polyring,
         "_sum_of_products",
         (PAIR_SCALE, "scale = den // (a._den * b._den)"),
+        ("suite:dI_commute", "golden:cli_dense", "dense_homotopy"),
+    ),
+    "integral_weight_plus_one": (
+        polyring,
+        "_integral_of_products",
+        (WEIGHT, "weights = {(i, j): i + j + 2 for i in big for j in small}"),
+        ("suite:chain_homotopy", "golden:cli_dense", "dense_homotopy"),
+    ),
+    "integral_weight_without_j": (
+        polyring,
+        "_integral_of_products",
+        (WEIGHT, "weights = {(i, j): i + 1 for i in big for j in small}"),
         ("suite:dI_commute", "golden:cli_dense", "dense_homotopy"),
     ),
     "drop_contract_sign": (
@@ -612,7 +656,7 @@ def test_a_plot_is_the_map_from_its_cylinder(monkeypatch):
 
 
 def test_derived_maps_are_not_rechecked(monkeypatch):
-    # the Chen integral's dt-part map and an endpoint map are built from a
+    # the Chen integral builds no map, and an endpoint map is built from a
     # plot's own checked components, so neither runs PolyMap's checks again
     plot = line_plot()
     checked = []

@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pathforms.polyring import MAX_EXPONENT, MismatchError, Poly, as_fraction
+from pathforms.polyring import _integral_of_products
 
 XY = ("x", "y")
 
@@ -331,3 +332,71 @@ def test_fundamental_theorem(a):
     lhs = a.pderiv("x").defint01("x")
     rhs = a.set_var("x", 1) - a.set_var("x", 0)
     assert lhs == rhs
+
+
+# -- the t-integral of a sum of products ---------------------------------------
+
+TU = ("t", "u1", "u2")
+U = TU[1:]
+
+
+def tu(terms):
+    return Poly(TU, terms)
+
+
+def integral_by_definition(pairs) -> Poly:
+    """The integral over t in [0, 1] of the sum of sign * a * b, multiplied
+    out over (t, u) first."""
+    total = Poly.zero(TU)
+    for sign, a, b in pairs:
+        total = total + a * b * sign
+    return total.defint01("t").drop_var("t")
+
+
+# denominators up to 6 on the coefficients, and weights 1/(i + j + 1) up to
+# 1/7, so the pairs of a list sit over different denominators
+tu_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def operands(t_max, u_max):
+    exps = st.tuples(st.integers(0, t_max), st.integers(0, u_max), st.integers(0, u_max))
+    return st.dictionaries(exps, tu_coeffs, max_size=5).map(tu)
+
+
+# in t and u, without t, and in t only; an empty dictionary is the zero operand
+operand = st.one_of(operands(3, 3), operands(0, 3), operands(3, 0))
+pair_lists = st.lists(st.tuples(st.sampled_from([1, -1]), operand, operand), max_size=4)
+one = tu({(0, 0, 0): 1})
+mixed = tu({(3, 1, 0): Fraction(1, 2), (0, 0, 2): 3, (1, 0, 0): Fraction(-1, 5)})
+tie = tu({(2, 0, 0): Fraction(-1, 2), (0, 1, 1): 5, (1, 1, 1): Fraction(2, 3)})
+
+
+@given(pair_lists)
+@example([])
+@example([(1, Poly.zero(TU), mixed)])
+@example([(1, mixed, one), (-1, one, mixed)])  # cancels, each side collapsed once
+@example([(1, mixed, tie)])  # equal term counts
+def test_integral_of_products_matches_defint01(pairs):
+    assert _integral_of_products(U, pairs) == integral_by_definition(pairs)
+    # each pair again with the opposite sign and its operands swapped, which
+    # collapses the other operand when their term counts differ
+    cancelled = pairs + [(-sign, b, a) for sign, a, b in pairs]
+    assert _integral_of_products(U, cancelled) == Poly.zero(U)
+
+
+def test_integral_of_products_refuses_an_exponent_past_the_limit():
+    # a t-exponent sum of MAX_EXPONENT is a legal product, one more is not,
+    # as for the product multiplied out; u-exponents are guarded as products
+    half = 2**62
+    top = [(1, tu({(half, 0, 0): 1}), tu({(half - 1, 0, 0): 1}))]
+    assert _integral_of_products(U, top) == integral_by_definition(top)
+    assert _integral_of_products(U, top) == Poly.const(U, Fraction(1, 2**63))
+    for left, right in (
+        ({(half, 0, 0): 1}, {(half, 0, 0): 1}),
+        ({(half, 0, 0): 1, (0, 0, 0): 1}, {(half, 1, 0): 1}),
+        ({(0, 0, MAX_EXPONENT): 1}, {(1, 0, 1): 1}),
+    ):
+        with pytest.raises(ValueError, match="exceeds MAX_EXPONENT"):
+            _integral_of_products(U, [(1, tu(left), tu(right))])
+        with pytest.raises(ValueError, match="exceeds MAX_EXPONENT"):
+            integral_by_definition([(1, tu(left), tu(right))])
