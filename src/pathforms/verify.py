@@ -14,13 +14,13 @@ and some accept their own; a mutation deliberately breaks the checked
 identity in a known way, so the failure machinery itself is testable: a
 suite that cannot flag a planted bug proves nothing when it passes.
 
-Generators build polynomials, forms and Koszul elements through the
-trusted constructors, and generalized forms through the checked one, which
-owns their layout.  tests/golden/suite_digests.json pins the draw order:
-each polynomial term draws its coefficient before its exponents.  Its
-`_randint` draws integers as CPython 3.11's randint does, from getrandbits,
-in one Python call where randint makes three; its draws rest on the Mersenne
-Twister stream alone, not on randint's algorithm, which Python may change.
+Generators draw straight into canonical storage and build through the
+trusted constructors, a generalized form on its words dx_I z_S.  They read
+getrandbits as CPython 3.11's randint and sample do (`_randint`'s rule,
+inline on the hot draws) and look coefficients up in a table, so the draws
+rest on the Mersenne Twister words and rng.random() alone, not on random's
+Python code, which may change.  tests/golden/suite_digests.json pins the
+draw order: each polynomial term draws its coefficient before its exponents.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import random
 import time
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Optional
 
@@ -53,6 +54,17 @@ from .serialize import MAX_CHART_DIM, default_domain_chart, default_target_chart
 COEFF_BOUND = 4
 # a multiple of every random denominator
 _COMMON_DEN = lcm(*range(1, COEFF_BOUND + 1))
+# rand_fraction's values, at n * COEFF_BOUND + d for its draws n of _NUMS
+# values in _NUM_BITS bits and d of COEFF_BOUND values in _DEN_BITS bits
+_NUMS = 2 * COEFF_BOUND + 1
+_NUM_BITS, _DEN_BITS = _NUMS.bit_length(), COEFF_BOUND.bit_length()
+_FRACTIONS = tuple(
+    Fraction(n - COEFF_BOUND, d + 1) for n in range(_NUMS) for d in range(COEFF_BOUND)
+)
+# caps on GenConfig's work-size fields, past which one trial can take minutes:
+# a generalized form has up to 2**koszul_n z-monomials
+MAX_POLY_DEG = 64
+MAX_KOSZUL_N = 10
 
 
 @dataclass(frozen=True)
@@ -69,13 +81,15 @@ class GenConfig:
 
     def __post_init__(self):
         as_int_tuple(astuple(self), "GenConfig fields")
-        for name in ("chart_dim", "plot_dim", "poly_deg", "koszul_n"):
+        # plot_from_doc's cap on dimensions, so that failure records read back
+        limits = dict(chart_dim=MAX_CHART_DIM, plot_dim=MAX_CHART_DIM)
+        limits.update(poly_deg=MAX_POLY_DEG, koszul_n=MAX_KOSZUL_N)
+        for name in limits:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("chart_dim", "plot_dim"):
-            if getattr(self, name) > MAX_CHART_DIM:
-                # a failure record's plot document could not be read back
-                raise ValueError(f"{name} is above the limit of {MAX_CHART_DIM}")
+        for name, limit in limits.items():
+            if getattr(self, name) > limit:
+                raise ValueError(f"{name} is above the limit of {limit}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
 
@@ -109,54 +123,74 @@ def _randint(rng: random.Random, low: int, high: int) -> int:
     """rng.randint(low, high) for low <= high, drawn the same way: k =
     n.bit_length() bits for the n values, redrawn while they read n or more."""
     n = high - low + 1
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
+    while (r := rng.getrandbits(n.bit_length())) >= n:
+        pass
     return low + r
 
 
 def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
+    """Fraction(randint(-COEFF_BOUND, COEFF_BOUND), randint(1, COEFF_BOUND)),
+    redrawn while zero when `nonzero`, looked up in _FRACTIONS."""
+    getrandbits = rng.getrandbits
     while True:
-        value = Fraction(
-            _randint(rng, -COEFF_BOUND, COEFF_BOUND), _randint(rng, 1, COEFF_BOUND)
-        )
-        if value != 0 or not nonzero:
-            return value
+        while (num := getrandbits(_NUM_BITS)) >= _NUMS:
+            pass
+        while (den := getrandbits(_DEN_BITS)) >= COEFF_BOUND:
+            pass
+        if num != COEFF_BOUND or not nonzero:
+            return _FRACTIONS[num * COEFF_BOUND + den]
 
 
 def rand_poly(rng: random.Random, variables: tuple[str, ...], cfg: GenConfig) -> Poly:
     """A random polynomial of at most three terms of degree <= cfg.poly_deg.
     Each term draws its coefficient as rand_fraction does, then a degree and
     that many variables to raise by one; a later term on a monomial wins."""
+    getrandbits = rng.getrandbits
     count = len(variables)
     units = [1 << s for s in range(_W * (count - 1), -1, -_W)]
+    degrees = cfg.poly_deg + 1
     nums: dict[int, int] = {}
-    for _ in range(_randint(rng, 0, 3)):
-        num = _randint(rng, -COEFF_BOUND, COEFF_BOUND)
-        num *= _COMMON_DEN // _randint(rng, 1, COEFF_BOUND)
+    while (terms := getrandbits(3)) > 3:
+        pass
+    for _ in range(terms):
+        while (num := getrandbits(_NUM_BITS)) >= _NUMS:
+            pass
+        while (den := getrandbits(_DEN_BITS)) >= COEFF_BOUND:
+            pass
         key = 0
         if count:
-            for _ in range(_randint(rng, 0, cfg.poly_deg)):
-                key += units[_randint(rng, 0, count - 1)]
-        nums[key] = num
+            while (degree := getrandbits(degrees.bit_length())) >= degrees:
+                pass
+            for _ in range(degree):
+                while (var := getrandbits(count.bit_length())) >= count:
+                    pass
+                key += units[var]
+        nums[key] = (num - COEFF_BOUND) * (_COMMON_DEN // (den + 1))
     return Poly._make(variables, nums, _COMMON_DEN)
 
 
-def _rand_monomials(rng: random.Random, n: int, size: int, coeff: Callable) -> dict:
-    """One or two random `size`-subsets of range(n), each drawn before its
-    coefficient; none when no subset has that size."""
-    if not 0 <= size <= n:
-        return {}
-    return {
-        tuple(sorted(rng.sample(range(n), size))): coeff()
-        for _ in range(_randint(rng, 1, 2))
-    }
+def _rand_monomials(
+    rng: random.Random, n: int, size: int, coeff: Callable, out: dict, tail: tuple = ()
+) -> dict:
+    """`out` with one or two random `size`-subsets I of range(n), if any, as
+    keys I + tail, each drawn before its coefficient.  I is drawn as
+    sorted(rng.sample(range(n), size)) is for n <= 21: each value at a position
+    of the pool left, by _randint's rule, the pool's last value filling its place."""
+    getrandbits = rng.getrandbits
+    if 0 <= size <= n:
+        for _ in range(_randint(rng, 1, 2)):
+            pool = list(range(n))
+            for left in range(n, n - size, -1):
+                while (j := getrandbits(left.bit_length())) >= left:
+                    pass
+                pool[j], pool[left - 1] = pool[left - 1], pool[j]
+            out[tuple(sorted(pool[n - size :])) + tail] = coeff()
+    return out
 
 
-def _sum_of_draws(rng: random.Random, zero, draw: Callable):
+def _sum_of_draws(rng: random.Random, draw: Callable):
     """The sum of one or two draws, an inhomogeneous element in general."""
-    return sum((draw() for _ in range(_randint(rng, 1, 2))), zero)
+    return draw() if _randint(rng, 1, 2) == 1 else draw() + draw()
 
 
 def rand_form(
@@ -166,13 +200,12 @@ def rand_form(
     [0, dim], since those graded slots hold nothing else."""
     if degree is None:
         degree = _randint(rng, 0, chart.dim)
-    coeff = lambda: rand_poly(rng, chart.coordinates, cfg)
-    return OrdinaryForm._trusted(chart, _rand_monomials(rng, chart.dim, degree, coeff))
+    coeff = partial(rand_poly, rng, chart.coordinates, cfg)
+    return OrdinaryForm._trusted(chart, _rand_monomials(rng, chart.dim, degree, coeff, {}))
 
 
 def rand_form_mixed(rng: random.Random, chart: Chart, cfg: GenConfig) -> OrdinaryForm:
-    zero = OrdinaryForm.zero(chart)
-    return _sum_of_draws(rng, zero, lambda: rand_form(rng, chart, cfg))
+    return _sum_of_draws(rng, partial(rand_form, rng, chart, cfg))
 
 
 def rand_koszul_params(
@@ -192,15 +225,14 @@ def rand_koszul(
     """A random homogeneous element of degree -s; zero outside [-n, 0]."""
     if degree is None:
         degree = -_randint(rng, 0, params.n)
-    terms = _rand_monomials(rng, params.n, -degree, lambda: rand_fraction(rng))
+    terms = _rand_monomials(rng, params.n, -degree, partial(rand_fraction, rng), {})
     return KoszulElement._trusted(params, terms)
 
 
 def rand_koszul_mixed(
     rng: random.Random, params: KoszulParams, cfg: GenConfig
 ) -> KoszulElement:
-    zero = KoszulElement.zero(params)
-    return _sum_of_draws(rng, zero, lambda: rand_koszul(rng, params, cfg))
+    return _sum_of_draws(rng, partial(rand_koszul, rng, params, cfg))
 
 
 def rand_genform(
@@ -211,25 +243,22 @@ def rand_genform(
     degree: Optional[int] = None,
 ) -> GeneralizedForm:
     """A random homogeneous generalized form of the given total degree."""
+    dim, n = chart.dim, params.n
     if degree is None:
-        degree = _randint(rng, -params.n, chart.dim)
-    components: dict[tuple[int, ...], OrdinaryForm] = {}
-    for size in range(params.n + 1):
-        ordinary = degree + size
-        if ordinary < 0 or ordinary > chart.dim:
-            continue
-        for indices in itertools.combinations(range(params.n), size):
-            if rng.random() < 0.4:
-                continue
-            components[indices] = rand_form(rng, chart, cfg, degree=ordinary)
-    return GeneralizedForm(chart, params, components)
+        degree = _randint(rng, -n, dim)
+    coeff = partial(rand_poly, rng, chart.coordinates, cfg)
+    words: dict[tuple[int, ...], Poly] = {}
+    for size in range(max(0, -degree), min(n, dim - degree) + 1):
+        for zetas in itertools.combinations(range(dim, dim + n), size):
+            if rng.random() >= 0.4:
+                _rand_monomials(rng, dim, degree + size, coeff, words, zetas)
+    return GeneralizedForm._trusted((chart, params), words)
 
 
 def rand_genform_mixed(
     rng: random.Random, chart: Chart, params: KoszulParams, cfg: GenConfig
 ) -> GeneralizedForm:
-    zero = GeneralizedForm.zero(chart, params)
-    return _sum_of_draws(rng, zero, lambda: rand_genform(rng, chart, params, cfg))
+    return _sum_of_draws(rng, partial(rand_genform, rng, chart, params, cfg))
 
 
 def rand_plot(rng: random.Random, target: Chart, cfg: GenConfig) -> Plot:

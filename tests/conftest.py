@@ -1,3 +1,5 @@
+import gc
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,25 @@ def golden_check(request):
             pytest.fail(f"{name!r} no longer matches its golden file")
 
     return check
+
+
+def python_calls(fn, *args) -> int:
+    """The Python-level calls fn(*args) makes, itself included.  The
+    collector is paused meanwhile: its callbacks (hypothesis installs one)
+    would count calls that depend on when a collection happens to run."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return calls

@@ -281,6 +281,20 @@ def test_verify_dimension_above_the_plot_document_limit_exits_2(capsys):
     assert err == "error: plot_dim is above the limit of 16\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--poly-deg", "1000000", "poly_deg is above the limit of 64"),
+        ("--koszul-n", "40", "koszul_n is above the limit of 10"),
+    ],
+)
+def test_verify_work_size_above_its_cap_exits_2(capsys, flag, value, message):
+    # with --trials 1 these ran for minutes; --trials 0 keeps a missing cap
+    # from hanging the test
+    status, out, err = run(capsys, "verify", "--trials", "0", flag, value)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("where", ["missing/result.json", "."])
 @pytest.mark.parametrize("verb", ["d", "verify"])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, where, verb):

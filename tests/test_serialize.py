@@ -1,14 +1,14 @@
 """JSON interchange: round trips, canonical bytes, and parse rejection."""
 
-import gc
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import python_calls
 
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import pair_encode
@@ -563,28 +563,6 @@ def test_too_deep_expression_is_a_parse_error():
         doc = {"node": "Diff", "child": doc}
     with pytest.raises(ParseError):
         expr_from_doc(doc)
-
-
-def python_calls(fn, *args) -> int:
-    """The Python-level calls fn(*args) makes, itself included.  The
-    collector is paused meanwhile: its callbacks (hypothesis installs one)
-    would count calls that depend on when a collection happens to run."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-        if enabled:
-            gc.enable()
-    return calls
 
 
 def test_expression_codecs_visit_each_node_once():

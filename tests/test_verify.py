@@ -5,8 +5,11 @@ import hashlib
 import itertools
 import random
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
+
+from conftest import python_calls
 
 import pathforms.serialize
 import pathforms.verify
@@ -30,10 +33,14 @@ from pathforms.serialize import (
 from pathforms.verify import (
     ALL_SUITES,
     COEFF_BOUND,
+    MAX_KOSZUL_N,
+    MAX_POLY_DEG,
     GenConfig,
+    _rand_monomials,
     _randint,
     _rng,
     gen_random,
+    rand_fraction,
     rand_form,
     rand_form_mixed,
     rand_genform,
@@ -68,6 +75,36 @@ def test_randint_draws_as_random_does(seed):
             assert _randint(ours, low, low + n - 1) == theirs.randint(low, low + n - 1)
             assert _randint(ours, 0, n - 1) == theirs.randrange(n)
         assert ours.getrandbits(32) == theirs.getrandbits(32)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_subsets_draw_as_random_sample_does(seed):
+    # populations up to 16, the most a chart or a capped Koszul algebra has,
+    # where sample takes the pool branch the draw copies; each subset is
+    # drawn before its coefficient, here the draw's index
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(MAX_CHART_DIM + 1):
+        for k in range(n + 1):
+            drawn = _rand_monomials(ours, n, k, itertools.count().__next__, {}, (n,))
+            expected = {}
+            for i in range(theirs.randint(1, 2)):
+                expected[tuple(sorted(theirs.sample(range(n), k))) + (n,)] = i
+            assert drawn == expected
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rand_fraction_draws_as_random_does(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for nonzero in (False, True) * 20:
+        expected = 0
+        while expected == 0:
+            num = theirs.randint(-COEFF_BOUND, COEFF_BOUND)
+            expected = Fraction(num, theirs.randint(1, COEFF_BOUND))
+            if not nonzero:
+                break
+        assert rand_fraction(ours, nonzero=nonzero) == expected
+        assert ours.getstate() == theirs.getstate()
 
 
 
@@ -121,6 +158,17 @@ def test_config_dimensions_stay_within_plot_documents(field):
     # dimension above MAX_CHART_DIM
     with pytest.raises(ValueError, match="limit of 16"):
         GenConfig(**{field: MAX_CHART_DIM + 1})
+
+
+@pytest.mark.parametrize(
+    "field,limit", [("poly_deg", MAX_POLY_DEG), ("koszul_n", MAX_KOSZUL_N)]
+)
+def test_config_work_sizes_are_capped(field, limit):
+    # past the cap one trial could run for minutes
+    assert getattr(GenConfig(**{field: limit}), field) == limit
+    for value in (limit + 1, 10**6):
+        with pytest.raises(ValueError, match=f"^{field} is above the limit of {limit}$"):
+            GenConfig(**{field: value})
 
 
 def test_plots_drawn_at_the_dimension_limit_round_trip():
@@ -300,6 +348,30 @@ def test_generators_match_their_checked_rebuild(cfg):
         ]
         for value in drawn:
             _assert_canonical(value)
+
+
+def test_supercomm_trials_stay_cheap_in_python_calls():
+    # about 5,000: the bound fails if draws go back through random's Python
+    # code, or mixed elements through a checked zero, which made it 9,057
+    assert python_calls(run_suite, "supercomm", GenConfig(seed=0, trials=5)) <= 6000
+
+
+def test_rand_genform_builds_no_checked_generalized_form(monkeypatch):
+    calls = []
+    init = GeneralizedForm.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeneralizedForm, "__init__", counted)
+    for cfg in TRUSTED_CONFIGS:
+        rng = _rng(cfg, "trusted", 0)
+        chart = default_target_chart(cfg.chart_dim)
+        params = rand_koszul_params(rng, cfg)
+        assert rand_genform(rng, chart, params, cfg).params is params
+        rand_genform_mixed(rng, chart, params, cfg)
+    assert calls == []
 
 
 def test_form_docs_round_trip_through_failure_records():
