@@ -5,9 +5,9 @@ to stdout (or --out).  Exit status is 0 on success, 1 when a
 verification suite reports failures, 2 when an input does not parse or
 the --out path cannot be written, and 3 when parsed operands do not fit
 together (chart or parameter mismatches, operands outside an
-operation's domain) or when a rational in the result has more digits
+operation's domain), when a rational in the result has more digits
 than int() writes as text (4300 by default), which inputs inside that
-limit can still produce.
+limit can still produce, or when the work runs out of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .pathspace import (
     wedge_prime,
 )
 from .polyring import MismatchError
-from .serialize import ParseError, dumps, from_doc, loads, to_doc
+from .serialize import ParseError, dumps, from_doc, loads, to_text
 from .verify import ALL_SUITES, GenConfig, run_all, run_suite
 
 PARSE_ERROR = 2
@@ -100,25 +100,25 @@ VERBS = {
 }
 
 
-def _cmd_document(args) -> tuple[dict, int]:
+def _cmd_document(args) -> tuple[str, int]:
     """Decode the verb's operands in order, a plot against the chart of the
-    operand before it, apply the operation and encode its result."""
+    operand before it, apply the operation and write its result's text."""
     _, operation, operands = VERBS[args.verb]
     values: list = []
     for name, type_name in operands:
         doc = _read_doc(getattr(args, name))
         chart = _embedded_chart(values[-1]) if type_name == "Plot" else None
         values.append(from_doc(type_name, doc, chart))
-    return to_doc(operation(*values)), 0
+    return to_text(operation(*values)), 0
 
 
-def _cmd_ev(args) -> tuple[dict, int]:
+def _cmd_ev(args) -> tuple[str, int]:
     form = from_doc("OrdinaryForm", _read_doc(args.form))
     plot = from_doc("Plot", _read_doc(args.plot), form.chart)
-    return to_doc(ev_pullback(args.endpoint, form, plot)), 0
+    return to_text(ev_pullback(args.endpoint, form, plot)), 0
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[str, int]:
     try:
         cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
     except ValueError as e:
@@ -127,7 +127,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     reports = run_all(cfg) if args.suite == "all" else [run_suite(args.suite, cfg)]
     passed = all(r.passed for r in reports)
     doc = {"passed": passed, "reports": [r.to_doc() for r in reports]}
-    return doc, 0 if passed else 1
+    return dumps(doc), 0 if passed else 1
 
 
 @functools.cache
@@ -169,13 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, status = args.handler(args)
+        text, status = args.handler(args)
     except ValueError as e:
         # a ParseError, or operands that parsed fine but do not fit together
         # (a MismatchError) or are outside the operation's domain
         print(f"error: {e}", file=sys.stderr)
         return PARSE_ERROR if isinstance(e, ParseError) else MISMATCH_ERROR
-    text = dumps(doc)
+    except MemoryError:
+        # a computation too large for the process, however well-formed
+        print("error: out of memory: the work asked for does not fit", file=sys.stderr)
+        return MISMATCH_ERROR
     if args.out:
         try:
             Path(args.out).write_text(text)

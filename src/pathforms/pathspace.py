@@ -29,7 +29,7 @@ from typing import ClassVar
 
 from .forms import Chart, OrdinaryForm, PolyMap
 from .generalized import GeneralizedForm, pair_decode
-from .polyring import MismatchError, Poly, _integral_of_products, as_fraction
+from .polyring import MismatchError, Poly, _W, _integral_of_products, as_fraction
 from .polyring import checked_type
 
 
@@ -55,13 +55,21 @@ class Plot(PolyMap):
         super().__init__(Chart((self.time,) + domain.coordinates), target, components)
 
     def endpoint_map(self, endpoint: int) -> PolyMap:
-        """The map U -> target obtained by freezing time at 0 or 1."""
+        """The map U -> target obtained by freezing time at 0 or 1, read
+        off the packed keys, where time is the most significant field: at 0
+        the keys whose time field is 0 are kept, at 1 the field is folded
+        away."""
         _check_endpoint(endpoint)
-        comps = tuple(
-            poly.set_var(self.time, endpoint).drop_var(self.time)
-            for poly in self.components
-        )
-        return PolyMap._trusted(self.domain, self.target, comps)
+        names = self.domain.coordinates
+        low = (1 << _W * len(names)) - 1  # the fields of u, below time's
+        comps = []
+        for poly in self.components:
+            out: dict[int, int] = {}
+            for key, n in poly._nums.items():
+                if endpoint or key <= low:
+                    out[key & low] = out.get(key & low, 0) + n
+            comps.append(Poly._make(names, out, poly._den))
+        return PolyMap._trusted(self.domain, self.target, tuple(comps))
 
 
 def decompose(form: OrdinaryForm, time: str) -> tuple[OrdinaryForm, OrdinaryForm]:

@@ -17,14 +17,18 @@ any value by its type and from_doc() decodes by type name.  dumps() is the
 single canonical renderer (sorted keys, two-space indent, trailing
 newline) so equal values always serialize to identical bytes.
 
-A polynomial's term list is coded in one pass each way, with no Fraction
-per term: poly_to_doc writes straight from the packed integer numerators
-and their common denominator, and poly_from_doc reads each "num/den" as
-two ints into packed keys over the lcm of the denominators.
+A polynomial's term list is coded with no Fraction per term, straight
+from the packed integer numerators and their common denominator, by one
+of two writers: poly_to_doc builds its document, for to_doc, and to_text,
+which the CLI writes its results with, leaves each Poly in the document
+for dumps to write as text by one % template per (variable count,
+indent), so no term dict is built.  poly_from_doc reads each "num/den"
+as two ints straight into packed keys over the lcm of the denominators.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -46,7 +50,7 @@ from .pathspace import (
     Sum,
     Wedge,
 )
-from .polyring import MismatchError, Poly, _distinct, _pack, _unpack
+from .polyring import _MASK, _W, MismatchError, Poly, _distinct, _pack, _unpack
 
 
 class ParseError(ValueError):
@@ -57,11 +61,18 @@ def dumps(doc: Any) -> str:
     """doc as canonical text: exactly the bytes of
     json.dumps(doc, indent=2, sort_keys=True) + "\n", rendered in one
     recursive pass whose strings are escaped by json's C encoder (with an
-    indent, json.dumps runs its pure-Python encoder)."""
+    indent, json.dumps runs its pure-Python encoder).  A Poly in doc is
+    written as its poly_to_doc term list would be, by _poly_text."""
     parts: list[str] = []
     _render(doc, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
+
+
+def to_text(value: Any) -> str:
+    """dumps(to_doc(value)), with each polynomial left in the document and
+    written by _poly_text, so no term dict is built."""
+    return dumps(to_doc(value, lambda poly: poly))
 
 
 def _render(value: Any, newline: str, emit: Callable[[str], Any]) -> None:
@@ -104,6 +115,8 @@ def _render(value: Any, newline: str, emit: Callable[[str], Any]) -> None:
         emit(newline + "]")
     elif type(value) is int:
         emit(int.__repr__(value))
+    elif isinstance(value, Poly):
+        emit(_poly_text(value, newline))
     else:
         emit(json.dumps(value))
 
@@ -241,6 +254,40 @@ def poly_to_doc(poly: Poly) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _term_template(count: int, newline: str) -> str:
+    """The % template of one term of a term list whose lines start with
+    newline: the numerator and denominator of the coefficient, then
+    `count` exponents, laid out as dumps lays out poly_to_doc's terms.
+    The cache is bounded, as an expression's depth sets the indent."""
+    inner = newline + "    "
+    exps = "[" + ",".join([inner + "  %d"] * count) + inner + "]" if count else "[]"
+    return f'{{{inner}"coeff": "%d/%d",{inner}"exps": {exps}{newline}  }}'
+
+
+def _poly_text(poly: Poly, newline: str) -> str:
+    """The text dumps writes for poly_to_doc(poly) at newline, straight
+    from the packed keys and common denominator: one template per
+    (variable count, newline) and one % per term."""
+    den, nums, count = poly._den, poly._nums, len(poly.variables)
+    if not nums:
+        return "[]"
+    template = _term_template(count, newline)
+    # the fields of a key, first variable first, read with no Python call
+    shifts = range(_W * (count - 1), -1, -_W)
+    terms = []
+    try:
+        for key in sorted(nums):
+            n = nums[key]
+            g = gcd(n, den)
+            exps = map(_MASK.__and__, map(key.__rshift__, shifts))
+            terms.append(template % (n // g, den // g, *exps))
+    except ValueError:
+        raise _digits_error() from None
+    item = newline + "  "
+    return "[" + item + ("," + item).join(terms) + newline + "]"
+
+
 def poly_from_doc(doc: Any, variables: tuple[str, ...]) -> Poly:
     """The polynomial of a term list over the given variables, read in one
     pass straight into packed keys and integer numerators over the lcm of
@@ -271,10 +318,10 @@ def chart_from_doc(doc: Any) -> Chart:
     return _construct(Chart, tuple(_expect(n, str, "a coordinate name") for n in names))
 
 
-def form_to_doc(form: OrdinaryForm) -> dict:
+def form_to_doc(form: OrdinaryForm, poly: Callable = poly_to_doc) -> dict:
     return {
         "chart": chart_to_doc(form.chart),
-        "components": _entries(form.components, "indices", "poly", poly_to_doc),
+        "components": _entries(form.components, "indices", "poly", poly),
     }
 
 
@@ -323,11 +370,12 @@ def koszul_from_doc(doc: Any) -> KoszulElement:
 # -- generalized forms --------------------------------------------------------
 
 
-def gen_to_doc(value: GeneralizedForm) -> dict:
+def gen_to_doc(value: GeneralizedForm, poly: Callable = poly_to_doc) -> dict:
+    form = functools.partial(form_to_doc, poly=poly)
     return {
         "chart": chart_to_doc(value.chart),
         "koszul": koszul_params_to_doc(value.params),
-        "components": _entries(value.forms(), "zetas", "form", form_to_doc),
+        "components": _entries(value.forms(), "zetas", "form", form),
     }
 
 
@@ -352,11 +400,11 @@ def default_domain_chart(m: int) -> Chart:
     return Chart(tuple(f"u{i + 1}" for i in range(m)))
 
 
-def plot_to_doc(plot: Plot) -> dict:
+def plot_to_doc(plot: Plot, poly: Callable = poly_to_doc) -> dict:
     return {
         "m": plot.domain.dim,
         "target_dim": plot.target.dim,
-        "components": [poly_to_doc(p) for p in plot.components],
+        "components": list(map(poly, plot.components)),
     }
 
 
@@ -390,27 +438,28 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
 # -- any value ------------------------------------------------------------------
 
 
-def to_doc(value: Any) -> Any:
+def to_doc(value: Any, poly: Callable = poly_to_doc) -> Any:
     """The document of a value, by its type's encoder (a module global,
-    looked up per call); a tuple is a list, an int or a str is itself.
+    looked up per call), with each polynomial coded by `poly`; a tuple is
+    a list, an int or a str is itself.
 
     A bare Poly has no self-describing document, because its term list
     carries no variables: it raises TypeError here, and poly_to_doc codes
     it inside a form or plot document, which names them."""
     if isinstance(value, OrdinaryForm):
-        return form_to_doc(value)
+        return form_to_doc(value, poly)
     if isinstance(value, KoszulElement):
         return koszul_to_doc(value)
     if isinstance(value, GeneralizedForm):
-        return gen_to_doc(value)
+        return gen_to_doc(value, poly)
     if isinstance(value, Plot):
-        return plot_to_doc(value)
+        return plot_to_doc(value, poly)
     if isinstance(value, PathFormExpr):
-        return expr_to_doc(value)
+        return expr_to_doc(value, poly)
     if isinstance(value, Fraction):
         return frac_to_str(value)
     if isinstance(value, tuple):
-        return list(map(to_doc, value))
+        return [to_doc(item, poly) for item in value]
     if type(value) in (int, str):
         return value
     raise TypeError(f"no document for {type(value).__name__} value {value!r}")
@@ -451,11 +500,11 @@ _NODES = {cls.__name__: cls for cls in (EvPull, Chen, Wedge, Diff, Sum, Scale)}
 MAX_EXPR_DEPTH = 200
 
 
-def expr_to_doc(expr: PathFormExpr) -> dict:
-    return _expr_to_doc(expr, MAX_EXPR_DEPTH)
+def expr_to_doc(expr: PathFormExpr, poly: Callable = poly_to_doc) -> dict:
+    return _expr_to_doc(expr, MAX_EXPR_DEPTH, poly)
 
 
-def _expr_to_doc(expr: PathFormExpr, depth: int) -> dict:
+def _expr_to_doc(expr: PathFormExpr, depth: int, poly: Callable) -> dict:
     """expr's document, where at most `depth` more levels may sit below it."""
     name = type(expr).__name__
     if _NODES.get(name) is not type(expr):
@@ -466,11 +515,11 @@ def _expr_to_doc(expr: PathFormExpr, depth: int) -> dict:
     for field in fields(expr):
         value = getattr(expr, field.name)
         if field.type == "PathFormExpr":
-            doc[field.name] = _expr_to_doc(value, depth - 1)
+            doc[field.name] = _expr_to_doc(value, depth - 1, poly)
         elif field.type == "tuple[PathFormExpr, ...]":
-            doc[field.name] = [_expr_to_doc(child, depth - 1) for child in value]
+            doc[field.name] = [_expr_to_doc(child, depth - 1, poly) for child in value]
         else:
-            doc[field.name] = to_doc(value)
+            doc[field.name] = to_doc(value, poly)
     return doc
 
 

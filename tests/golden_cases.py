@@ -8,6 +8,7 @@ arithmetic it records.
 """
 
 import itertools
+import json
 import random
 import tempfile
 from fractions import Fraction
@@ -39,6 +40,7 @@ from pathforms.serialize import (
     loads,
     plot_to_doc,
     poly_to_doc,
+    to_doc,
 )
 from pathforms.verify import GenConfig, gen_random, run_suite
 
@@ -557,6 +559,39 @@ def dense_instance() -> tuple[OrdinaryForm, Plot, GeneralizedForm]:
         tuple(_full_poly(rng, cylinder, 2) for _ in range(X3.dim)),
     )
     return w, plot, pair_encode(_full_form(rng, X3, 1), w, Fraction(-3, 2))
+
+
+def dense_verb_texts() -> dict[str, tuple[str, str]]:
+    """Each document verb's --out text on the dense instance, paired with
+    json.dumps's text of the document of the value the verb computes."""
+    w, plot, alpha = dense_instance()
+    w1, _ = pair_decode(alpha)
+    dalpha, expr = alpha.d(), map_I(alpha)
+    verbs = {
+        "d": (["d", "w"], w.d()),
+        "wedge": (["wedge", "w1", "w"], w1.wedge(w)),
+        "gd": (["gd", "alpha"], dalpha),
+        "gwedge": (["gwedge", "alpha", "dalpha"], alpha.wedge(dalpha)),
+        "chen": (["chen", "w", "plot"], chen_integral(w, plot)),
+        "ev0": (["ev", "w", "plot", "--endpoint", "0"], ev_pullback(0, w, plot)),
+        "ev1": (["ev", "w", "plot", "--endpoint", "1"], ev_pullback(1, w, plot)),
+        "imap": (["imap", "alpha"], expr),
+        "wedge-prime": (["wedge-prime", "alpha", "dalpha"], wedge_prime(alpha, dalpha)),
+        "eval": (["eval", "expr", "plot"], eval_pathform(expr, plot)),
+    }
+    inputs = {"w": w, "w1": w1, "plot": plot, "alpha": alpha, "dalpha": dalpha}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        names = (*inputs, "expr", "out")
+        path = {name: str(Path(tmp) / f"{name}.json") for name in names}
+        for name, value in (*inputs.items(), ("expr", expr)):
+            Path(path[name]).write_text(dumps(to_doc(value)))
+        for name, (argv, value) in verbs.items():
+            argv = [path.get(arg, arg) for arg in argv]
+            assert main(argv + ["--out", path["out"]]) == 0
+            expected = json.dumps(to_doc(value), indent=2, sort_keys=True) + "\n"
+            out[name] = (Path(path["out"]).read_text(), expected)
+    return out
 
 
 def case_cli_dense() -> dict:

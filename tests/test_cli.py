@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import pathforms
-from pathforms.cli import build_parser, main
+from golden_cases import dense_verb_texts
+from pathforms.cli import VERBS, build_parser, main
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import pair_encode
 from pathforms.pathspace import (
@@ -241,6 +242,39 @@ def test_verify_reports_are_deterministic(capsys):
         return doc
 
     assert normalized() == normalized()
+
+
+OUT_OF_MEMORY = "error: out of memory: the work asked for does not fit\n"
+
+
+@pytest.mark.parametrize("verb", ["chen", "verify"])
+def test_out_of_memory_exits_3_without_a_traceback(verb, tmp_path, capsys, monkeypatch):
+    # a run too large for the process is refused like operands outside an
+    # operation's domain, not read as a failed suite
+    import pathforms.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    if verb == "chen":
+        monkeypatch.setattr(cli, "chen_integral", exhausted)
+        form = write_doc(tmp_path, "w.json", form_to_doc(dx(X2, 0)))
+        plot = write_doc(tmp_path, "plot.json", plot_to_doc(square_plot()))
+        argv = ("chen", form, plot)
+    else:
+        monkeypatch.setattr(cli, "run_all", exhausted)
+        argv = ("verify", "--trials", "1")
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (3, "", OUT_OF_MEMORY)
+
+
+def test_every_document_verb_writes_the_bytes_of_json_dumps():
+    # byte for byte, not only after re-loading, so the layout of each
+    # polynomial's term list is pinned too
+    texts = dense_verb_texts()
+    assert set(texts) == set(VERBS) | {"ev0", "ev1"}
+    for name, (text, expected) in texts.items():
+        assert text == expected, name
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

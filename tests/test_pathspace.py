@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import CASES, dense_instance
+from golden_cases import CASES, dense_instance, dense_verb_texts
 import pathforms.generalized as generalized
 import pathforms.pathspace as pathspace
 import pathforms.polyring as polyring
+import pathforms.serialize as serialize
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
 from pathforms.generalized import GeneralizedForm, pair_encode
 from pathforms.koszul import KoszulParams
@@ -397,6 +398,7 @@ CHECKS = {
     "cross_case_1": _case_check(lambda: cross_term_cases()[1]),
     "front_case": _case_check(front_term_case),
     "dense_homotopy": lambda: not dense_homotopy_defect().is_zero,
+    "cli_bytes": lambda: any(a != b for a, b in dense_verb_texts().values()),
 }
 
 CHEN_SIGN = "coeff = k * (-1 if p % 2 == 0 else 1)"
@@ -531,6 +533,27 @@ MUTATIONS = {
         "_integral_of_products",
         (WEIGHT, "weights = {(i, j): i + 1 for i in big for j in small}"),
         ("suite:dI_commute", "golden:cli_dense", "dense_homotopy"),
+    ),
+    "endpoint_one_as_zero": (
+        Plot,
+        "endpoint_map",
+        ("if endpoint or key <= low:", "if key <= low:"),
+        (
+            "suite:chain_homotopy",
+            "suite:dI_commute",
+            "suite:kernel",
+            "suite:injectivity_witness",
+            "golden:cli_dense",
+        ),
+    ),
+    "swap_template_exponents": (
+        serialize,
+        "_poly_text",
+        (
+            "shifts = range(_W * (count - 1), -1, -_W)",
+            "shifts = range(0, _W * count, _W)",
+        ),
+        ("cli_bytes", "golden:cli_dense"),
     ),
     "drop_contract_sign": (
         SignedMonomials,

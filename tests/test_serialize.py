@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import python_calls
+from golden_cases import dense_instance
 
 from pathforms.forms import Chart, OrdinaryForm, dx
-from pathforms.generalized import pair_encode
+from pathforms.generalized import GeneralizedForm, pair_encode
 from pathforms.koszul import KoszulElement, KoszulParams
 from pathforms.pathspace import Chen, Diff, EvPull, Plot, Scale, Sum, Wedge, map_I
 from pathforms.polyring import MAX_EXPONENT, MismatchError, Poly
@@ -42,6 +43,7 @@ from pathforms.serialize import (
     poly_from_doc,
     poly_to_doc,
     to_doc,
+    to_text,
 )
 from pathforms.verify import GenConfig, gen_random
 
@@ -270,18 +272,23 @@ def test_poly_doc_rejections():
 _exponents = st.integers(0, 3) | st.sampled_from([MAX_EXPONENT, MAX_EXPONENT - 1, 2**32])
 
 
-@st.composite
-def _polys(draw) -> Poly:
-    """A Poly over 0-3 variables whose numerators and denominators reach
-    past 64 bits and whose exponents reach MAX_EXPONENT."""
-    names = ("x", "y", "z")[: draw(st.integers(0, 3))]
-    coeffs = st.fractions(max_denominator=2**80).filter(bool) | st.builds(
-        Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**90)
+def _polys_over(names: tuple[str, ...], max_size: int = 6):
+    """Polys over the given variables whose numerators and denominators
+    reach past 64 bits, some with denominator 1, and whose exponents reach
+    MAX_EXPONENT."""
+    coeffs = (
+        st.fractions(max_denominator=2**80).filter(bool)
+        | st.builds(Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**90))
+        | st.integers(-(2**70), 2**70)
     )
-    terms = draw(
-        st.dictionaries(st.tuples(*[_exponents] * len(names)), coeffs, max_size=6)
-    )
-    return Poly(names, terms)
+    exps = st.tuples(*[_exponents] * len(names))
+    terms = st.dictionaries(exps, coeffs, max_size=max_size)
+    return terms.map(lambda terms: Poly(names, terms))
+
+
+def _polys():
+    """A Poly over 0-3 variables, as _polys_over draws them."""
+    return st.integers(0, 3).flatmap(lambda k: _polys_over(("x", "y", "z")[:k]))
 
 
 @given(_polys())
@@ -294,6 +301,66 @@ def test_poly_docs_round_trip(poly):
     ]
     assert poly_from_doc(doc, poly.variables) == poly
     assert poly_from_doc(loads(dumps(doc)), poly.variables) == poly
+
+
+_charts = st.integers(0, 3).map(default_target_chart)
+
+
+def _subsets(n: int):
+    """Increasing index tuples below n, the empty one included."""
+    return st.sets(st.integers(0, n - 1)).map(sorted).map(tuple) if n else st.just(())
+
+
+def _forms(chart: Chart):
+    """Forms on chart with up to three components, each a _polys_over
+    draw: a zero one is dropped, and on a 0-dim chart each is a constant."""
+    indices = _subsets(chart.dim)
+    components = st.dictionaries(indices, _polys_over(chart.coordinates, 3), max_size=3)
+    return components.map(lambda components: OrdinaryForm(chart, components))
+
+
+@st.composite
+def _plots(draw) -> Plot:
+    """Plots whose components may be zero, over (t,) alone when m = 0."""
+    target, domain = draw(_charts), default_domain_chart(draw(st.integers(0, 2)))
+    cylinder = (Plot.time,) + domain.coordinates
+    components = [draw(_polys_over(cylinder, 3)) for _ in range(target.dim)]
+    return Plot(target, domain, tuple(components))
+
+
+@st.composite
+def _generalized(draw) -> GeneralizedForm:
+    chart, n = draw(_charts), draw(st.integers(0, 2))
+    params = KoszulParams(tuple(draw(st.lists(st.fractions(), min_size=n, max_size=n))))
+    forms = draw(st.dictionaries(_subsets(n), _forms(chart), max_size=2))
+    return GeneralizedForm(chart, params, forms)
+
+
+_any_forms = _charts.flatmap(_forms)
+_exprs = st.recursive(
+    st.builds(EvPull, st.sampled_from([0, 1]), _any_forms)
+    | st.builds(Chen, _any_forms),
+    lambda children: st.builds(Wedge, children, children)
+    | st.builds(Diff, children)
+    | st.builds(Sum, st.lists(children, max_size=3).map(tuple))
+    | st.builds(Scale, st.fractions(), children),
+    max_leaves=4,
+)
+
+
+@given(st.one_of(_any_forms, _plots(), _generalized(), _exprs))
+def test_to_text_is_the_bytes_of_json_dumps(value):
+    expected = json.dumps(to_doc(value), indent=2, sort_keys=True) + "\n"
+    assert to_text(value) == expected == dumps(to_doc(value))
+
+
+def test_rendering_the_dense_imap_expression_stays_cheap():
+    # the term lists are written straight from the packed keys by one
+    # template per shape, with no dict or Python call per term: 164 calls;
+    # to_doc's term dicts and their rendering took 875
+    expr = map_I(dense_instance()[2])
+    to_text(expr)  # fill the template cache
+    assert python_calls(to_text, expr) <= 400
 
 
 @pytest.mark.parametrize("text", ["2/4", "-0/5", "007/010", "-6/9", "0/1", "12"])
