@@ -100,21 +100,23 @@ VERBS = {
 }
 
 
-def _cmd_document(args) -> tuple[str, int]:
-    """Decode the verb's operands in order, a plot against the chart of the
-    operand before it, apply the operation and write its result's text."""
-    _, operation, operands = VERBS[args.verb]
+def _operands(args, operands) -> list:
+    """Decode the operands in order, a plot against the chart of the one before."""
     values: list = []
     for name, type_name in operands:
         doc = _read_doc(getattr(args, name))
         chart = _embedded_chart(values[-1]) if type_name == "Plot" else None
         values.append(from_doc(type_name, doc, chart))
-    return to_text(operation(*values)), 0
+    return values
+
+
+def _cmd_document(args) -> tuple[str, int]:
+    _, operation, operands = VERBS[args.verb]
+    return to_text(operation(*_operands(args, operands))), 0
 
 
 def _cmd_ev(args) -> tuple[str, int]:
-    form = from_doc("OrdinaryForm", _read_doc(args.form))
-    plot = from_doc("Plot", _read_doc(args.plot), form.chart)
+    form, plot = _operands(args, (("form", "OrdinaryForm"), ("plot", "Plot")))
     return to_text(ev_pullback(args.endpoint, form, plot)), 0
 
 

@@ -12,18 +12,20 @@ is ever rounded in transit, and all indices 0-based:
     Expression  {"node": "EvPull"|"Chen"|"Wedge"|"Diff"|"Sum"|"Scale", ...}
 
 Plot documents carry dimensions only; parsing one invents the names
-t, u1..um and x1..xN unless a target chart is supplied.  to_doc() encodes
-any value by its type and from_doc() decodes by type name.  dumps() is the
-single canonical renderer (sorted keys, two-space indent, trailing
-newline) so equal values always serialize to identical bytes.
+t, u1..um and x1..xN unless a target chart is supplied.  to_doc() is the
+one encoder, a walk by type through values and expression nodes (each
+*_to_doc is it for one type), and from_doc() the one decoder, a walk by
+type name.  dumps() is the single canonical renderer (sorted keys,
+two-space indent, trailing newline) so equal values always serialize to
+identical bytes.
 
 A polynomial's term list is coded with no Fraction per term, straight
-from the packed integer numerators and their common denominator, by one
-of two writers: poly_to_doc builds its document, for to_doc, and to_text,
-which the CLI writes its results with, leaves each Poly in the document
-for dumps to write as text by one % template per (variable count,
-indent), so no term dict is built.  poly_from_doc reads each "num/den"
-as two ints straight into packed keys over the lcm of the denominators.
+from the packed integer numerators and their common denominator: the
+encoder codes each Poly by poly_to_doc for to_doc, and for to_text, which
+the CLI writes its results with, leaves it for dumps to write by one %
+template per (variable count, indent), so no term dict is built.
+poly_from_doc reads each "num/den" as two ints straight into packed keys
+over the lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def dumps(doc: Any) -> str:
 def to_text(value: Any) -> str:
     """dumps(to_doc(value)), with each polynomial left in the document and
     written by _poly_text, so no term dict is built."""
-    return dumps(to_doc(value, lambda poly: poly))
+    return dumps(_encode(value, lambda poly: poly, MAX_EXPR_DEPTH))
 
 
 def _render(value: Any, newline: str, emit: Callable[[str], Any]) -> None:
@@ -318,11 +320,8 @@ def chart_from_doc(doc: Any) -> Chart:
     return _construct(Chart, tuple(_expect(n, str, "a coordinate name") for n in names))
 
 
-def form_to_doc(form: OrdinaryForm, poly: Callable = poly_to_doc) -> dict:
-    return {
-        "chart": chart_to_doc(form.chart),
-        "components": _entries(form.components, "indices", "poly", poly),
-    }
+def form_to_doc(form: OrdinaryForm) -> dict:
+    return _typed_doc(form, OrdinaryForm, "a form")
 
 
 def form_from_doc(doc: Any) -> OrdinaryForm:
@@ -355,9 +354,7 @@ def koszul_params_from_doc(doc: Any) -> KoszulParams:
 
 
 def koszul_to_doc(element: KoszulElement) -> dict:
-    doc = koszul_params_to_doc(element.params)
-    doc["terms"] = _entries(element.terms, "zetas", "coeff", frac_to_str)
-    return doc
+    return _typed_doc(element, KoszulElement, "a Koszul element")
 
 
 def koszul_from_doc(doc: Any) -> KoszulElement:
@@ -370,13 +367,8 @@ def koszul_from_doc(doc: Any) -> KoszulElement:
 # -- generalized forms --------------------------------------------------------
 
 
-def gen_to_doc(value: GeneralizedForm, poly: Callable = poly_to_doc) -> dict:
-    form = functools.partial(form_to_doc, poly=poly)
-    return {
-        "chart": chart_to_doc(value.chart),
-        "koszul": koszul_params_to_doc(value.params),
-        "components": _entries(value.forms(), "zetas", "form", form),
-    }
+def gen_to_doc(value: GeneralizedForm) -> dict:
+    return _typed_doc(value, GeneralizedForm, "a generalized form")
 
 
 def gen_from_doc(doc: Any) -> GeneralizedForm:
@@ -400,12 +392,8 @@ def default_domain_chart(m: int) -> Chart:
     return Chart(tuple(f"u{i + 1}" for i in range(m)))
 
 
-def plot_to_doc(plot: Plot, poly: Callable = poly_to_doc) -> dict:
-    return {
-        "m": plot.domain.dim,
-        "target_dim": plot.target.dim,
-        "components": list(map(poly, plot.components)),
-    }
+def plot_to_doc(plot: Plot) -> dict:
+    return _typed_doc(plot, Plot, "a plot")
 
 
 #: The largest dimension a plot document may declare for its domain (m) or
@@ -438,45 +426,95 @@ def plot_from_doc(doc: Any, target: Chart | None = None) -> Plot:
 # -- any value ------------------------------------------------------------------
 
 
-def to_doc(value: Any, poly: Callable = poly_to_doc) -> Any:
-    """The document of a value, by its type's encoder (a module global,
-    looked up per call), with each polynomial coded by `poly`; a tuple is
-    a list, an int or a str is itself.
+def to_doc(value: Any) -> Any:
+    """The document of a value, by its type; a tuple is a list, an int or
+    a str is itself.  A bare Poly, whose term list names no variables, is
+    a TypeError: poly_to_doc codes one inside a form or plot document."""
+    return _encode(value, poly_to_doc, MAX_EXPR_DEPTH)
 
-    A bare Poly has no self-describing document, because its term list
-    carries no variables: it raises TypeError here, and poly_to_doc codes
-    it inside a form or plot document, which names them."""
+
+def _typed_doc(value: Any, cls: type, what: str) -> Any:
+    """to_doc(value), if value is a cls; any other value is a TypeError."""
+    if not isinstance(value, cls):
+        raise TypeError(f"not {what}: {value!r}")
+    return to_doc(value)
+
+
+def _encode(value: Any, poly: Callable, depth: int) -> Any:
+    """The document of value, each polynomial coded by `poly`, where at
+    most `depth` more expression levels may sit below value."""
     if isinstance(value, OrdinaryForm):
-        return form_to_doc(value, poly)
+        return {
+            "chart": list(value.chart.coordinates),
+            "components": _entries(value.components, "indices", "poly", poly),
+        }
     if isinstance(value, KoszulElement):
-        return koszul_to_doc(value)
+        terms = _entries(value.terms, "zetas", "coeff", frac_to_str)
+        return {**koszul_params_to_doc(value.params), "terms": terms}
     if isinstance(value, GeneralizedForm):
-        return gen_to_doc(value, poly)
+        return {
+            "chart": list(value.chart.coordinates),
+            "koszul": koszul_params_to_doc(value.params),
+            "components": _entries(
+                value.forms(), "zetas", "form", lambda form: _encode(form, poly, depth)
+            ),
+        }
     if isinstance(value, Plot):
-        return plot_to_doc(value, poly)
+        return {
+            "m": value.domain.dim,
+            "target_dim": value.target.dim,
+            "components": list(map(poly, value.components)),
+        }
     if isinstance(value, PathFormExpr):
-        return expr_to_doc(value, poly)
+        name = type(value).__name__
+        if _NODES.get(name) is not type(value):
+            raise TypeError(f"not a path-form expression: {value!r}")
+        if depth < 0:
+            raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        doc: dict[str, Any] = {"node": name}
+        for field in fields(value):
+            doc[field.name] = _encode(getattr(value, field.name), poly, depth - 1)
+        return doc
     if isinstance(value, Fraction):
         return frac_to_str(value)
     if isinstance(value, tuple):
-        return [to_doc(item, poly) for item in value]
+        return [_encode(item, poly, depth) for item in value]
     if type(value) in (int, str):
         return value
     raise TypeError(f"no document for {type(value).__name__} value {value!r}")
 
 
 def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
-    """The value of a document of the named type (an annotation name of the
-    expression nodes' fields), by its type's decoder (a module global,
-    looked up per call); a plot is read against `chart`."""
+    """The value of a document of the named type (one of to_doc's, or an
+    expression node field's annotation), by its type's decoder (a module
+    global, looked up per call); a plot is read against `chart`."""
+    return _decode(type_name, doc, chart, MAX_EXPR_DEPTH)
+
+
+def _decode(type_name: str, doc: Any, chart: Chart | None, depth: int) -> Any:
+    """from_doc's walk, where at most `depth` more expression levels may
+    sit below doc."""
     if type_name == "OrdinaryForm":
         return form_from_doc(doc)
+    if type_name == "KoszulElement":
+        return koszul_from_doc(doc)
     if type_name == "GeneralizedForm":
         return gen_from_doc(doc)
     if type_name == "PathFormExpr":
-        return expr_from_doc(doc)
+        obj = _expect(doc, dict, "an expression")
+        if depth < 0:
+            raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        node = obj.get("node")
+        cls = _NODES.get(node) if isinstance(node, str) else None
+        if cls is None:
+            raise ParseError(f"unknown expression node {node!r}")
+        args = []
+        for field in fields(cls):
+            args.append(_decode(field.type, obj.get(field.name), None, depth - 1))
+        return _construct(cls, *args)
     if type_name == "tuple[PathFormExpr, ...]":
-        return tuple(map(expr_from_doc, _expect(doc, list, "expressions")))
+        items = _expect(doc, list, "expressions")
+        return tuple([_decode("PathFormExpr", item, None, depth) for item in items])
     if type_name == "Plot":
         return plot_from_doc(doc, chart)
     if type_name == "Fraction":
@@ -489,62 +527,20 @@ def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
 # -- path-form expressions ------------------------------------------------------
 
 
-# A node's document holds its class name under "node" and each dataclass
-# field under the field's name, coded by the field's annotated type.
+# A node's document holds its class name under "node" and each field under
+# its name, read back by from_doc under the field's annotated type name.
 _NODES = {cls.__name__: cls for cls in (EvPull, Chen, Wedge, Diff, Sum, Scale)}
 
-#: The deepest expression expr_to_doc writes and expr_from_doc reads: the
-#: most nodes below the root on any path down to a leaf.  Both recurse a
-#: few frames per node, so this stays well inside Python's default
-#: recursion limit, with room for the caller's own frames.
+#: The deepest expression to_doc writes and from_doc reads: the most nodes
+#: below the root on any path down to a leaf.  Each walk counts it on the
+#: way down, at most three frames per node, so this stays well inside
+#: Python's default recursion limit, with room for the caller's frames.
 MAX_EXPR_DEPTH = 200
 
 
-def expr_to_doc(expr: PathFormExpr, poly: Callable = poly_to_doc) -> dict:
-    return _expr_to_doc(expr, MAX_EXPR_DEPTH, poly)
-
-
-def _expr_to_doc(expr: PathFormExpr, depth: int, poly: Callable) -> dict:
-    """expr's document, where at most `depth` more levels may sit below it."""
-    name = type(expr).__name__
-    if _NODES.get(name) is not type(expr):
-        raise TypeError(f"not a path-form expression: {expr!r}")
-    if depth < 0:
-        raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-    doc: dict[str, Any] = {"node": name}
-    for field in fields(expr):
-        value = getattr(expr, field.name)
-        if field.type == "PathFormExpr":
-            doc[field.name] = _expr_to_doc(value, depth - 1, poly)
-        elif field.type == "tuple[PathFormExpr, ...]":
-            doc[field.name] = [_expr_to_doc(child, depth - 1, poly) for child in value]
-        else:
-            doc[field.name] = to_doc(value, poly)
-    return doc
+def expr_to_doc(expr: PathFormExpr) -> dict:
+    return _typed_doc(expr, PathFormExpr, "a path-form expression")
 
 
 def expr_from_doc(doc: Any) -> PathFormExpr:
-    return _expr_from_doc(doc, MAX_EXPR_DEPTH)
-
-
-def _expr_from_doc(doc: Any, depth: int) -> PathFormExpr:
-    """The expression of doc, where at most `depth` more levels may sit
-    below it."""
-    obj = _expect(doc, dict, "an expression")
-    if depth < 0:
-        raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-    node = obj.get("node")
-    cls = _NODES.get(node) if isinstance(node, str) else None
-    if cls is None:
-        raise ParseError(f"unknown expression node {node!r}")
-    args = []
-    for field in fields(cls):
-        value = obj.get(field.name)
-        if field.type == "PathFormExpr":
-            args.append(_expr_from_doc(value, depth - 1))
-        elif field.type == "tuple[PathFormExpr, ...]":
-            items = _expect(value, list, "expressions")
-            args.append(tuple([_expr_from_doc(item, depth - 1) for item in items]))
-        else:
-            args.append(from_doc(field.type, value))
-    return _construct(cls, *args)
+    return from_doc("PathFormExpr", doc)

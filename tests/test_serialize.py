@@ -1,5 +1,6 @@
 """JSON interchange: round trips, canonical bytes, and parse rejection."""
 
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -11,10 +12,21 @@ from hypothesis import strategies as st
 from conftest import python_calls
 from golden_cases import dense_instance
 
+import pathforms.serialize
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import GeneralizedForm, pair_encode
 from pathforms.koszul import KoszulElement, KoszulParams
-from pathforms.pathspace import Chen, Diff, EvPull, Plot, Scale, Sum, Wedge, map_I
+from pathforms.pathspace import (
+    Chen,
+    Diff,
+    EvPull,
+    PathFormExpr,
+    Plot,
+    Scale,
+    Sum,
+    Wedge,
+    map_I,
+)
 from pathforms.polyring import MAX_EXPONENT, MismatchError, Poly
 from pathforms.serialize import (
     MAX_EXPR_DEPTH,
@@ -348,15 +360,35 @@ _exprs = st.recursive(
 )
 
 
+@st.composite
+def _koszul(draw) -> KoszulElement:
+    n = draw(st.integers(0, 3))
+    params = KoszulParams(tuple(draw(st.lists(st.fractions(), min_size=n, max_size=n))))
+    terms = draw(st.dictionaries(_subsets(n), st.fractions(), max_size=3))
+    return KoszulElement(params, terms)
+
+
 @given(st.one_of(_any_forms, _plots(), _generalized(), _exprs))
 def test_to_text_is_the_bytes_of_json_dumps(value):
     expected = json.dumps(to_doc(value), indent=2, sort_keys=True) + "\n"
     assert to_text(value) == expected == dumps(to_doc(value))
 
 
+@given(st.one_of(_any_forms, _koszul(), _plots(), _generalized(), _exprs))
+def test_every_value_reads_back_from_its_text(value):
+    doc = loads(to_text(value))
+    name = "PathFormExpr" if isinstance(value, PathFormExpr) else type(value).__name__
+    decoded = from_doc(name, doc)
+    if isinstance(value, Plot):
+        # a plot document names its charts by dimension only
+        assert to_doc(decoded) == doc
+    else:
+        assert decoded == value
+
+
 def test_rendering_the_dense_imap_expression_stays_cheap():
     # the term lists are written straight from the packed keys by one
-    # template per shape, with no dict or Python call per term: 164 calls;
+    # template per shape, with no dict or Python call per term: 158 calls;
     # to_doc's term dicts and their rendering took 875
     expr = map_I(dense_instance()[2])
     to_text(expr)  # fill the template cache
@@ -597,12 +629,43 @@ def test_to_doc_rejects_unsupported_values(value):
         to_doc(value)
 
 
+@pytest.mark.parametrize(
+    "encode, value",
+    [
+        (form_to_doc, KoszulElement.generator(KoszulParams((Fraction(2),)), 0)),
+        (form_to_doc, None),
+        (koszul_to_doc, dx(X2, 0)),
+        (gen_to_doc, dx(X2, 0)),
+        (plot_to_doc, dx(X2, 0)),
+        (expr_to_doc, dx(X2, 0)),
+    ],
+    ids=lambda arg: getattr(arg, "__name__", type(arg).__name__),
+)
+def test_per_type_encoders_refuse_other_types(encode, value):
+    with pytest.raises(TypeError, match="^not a"):
+        encode(value)
+
+
+def test_public_encoders_take_the_value_alone():
+    # each codes its polynomials one way; to_text's writer stays private
+    names = [
+        name
+        for name, value in vars(pathforms.serialize).items()
+        if name.endswith("to_doc") and not name.startswith("_") and callable(value)
+    ]
+    assert {"to_doc", "form_to_doc", "gen_to_doc", "plot_to_doc", "expr_to_doc"} <= set(names)
+    for name in names:
+        parameters = inspect.signature(getattr(pathforms.serialize, name)).parameters
+        assert len(parameters) == 1, name
+
+
 def test_from_doc_mirrors_to_doc():
     gen = pair_encode(dx(X2, 0), dx(X2, 0).wedge(dx(X2, 1)), 2)
     expr = map_I(gen)
     plot = gen_random("plot", GenConfig(seed=1))
     values = {
         "OrdinaryForm": dx(X2, 1),
+        "KoszulElement": KoszulElement.generator(KoszulParams((Fraction(2),)), 0),
         "GeneralizedForm": gen,
         "PathFormExpr": expr,
         "tuple[PathFormExpr, ...]": expr.children,
@@ -613,9 +676,6 @@ def test_from_doc_mirrors_to_doc():
         assert from_doc(name, to_doc(value)) == value
     assert from_doc("Plot", to_doc(plot), plot.target) == plot
     assert from_doc("Plot", to_doc(plot)) == plot_from_doc(to_doc(plot))
-    element = KoszulElement.generator(KoszulParams((Fraction(2),)), 0)
-    with pytest.raises(TypeError):
-        from_doc("KoszulElement", to_doc(element))
 
 
 @pytest.mark.parametrize("doc", [True, 1.0, "1", None])

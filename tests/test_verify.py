@@ -22,10 +22,9 @@ from pathforms.serialize import (
     MAX_CHART_DIM,
     default_target_chart,
     dumps,
-    form_from_doc,
+    from_doc,
     gen_from_doc,
     gen_to_doc,
-    koszul_from_doc,
     plot_from_doc,
     plot_to_doc,
     to_doc,
@@ -398,17 +397,17 @@ def test_passing_checks_serialize_nothing(suite, monkeypatch):
     assert run_suite(suite, GenConfig(seed=7, trials=5)).passed
 
 
-def _input_decoder(check: str, key: str):
-    """The *_from_doc that reads the input `key` of a failed `check`."""
+def _input_type(check: str, key: str) -> str:
+    """The type name from_doc reads the input `key` of a failed `check` by."""
     if key == "plot":
-        return plot_from_doc
+        return "Plot"
     if key in ("form", "expected") or check.startswith("form_"):
-        return form_from_doc
+        return "OrdinaryForm"
     if check == "tensor_sign_rule":
-        return form_from_doc if key in ("a", "b") else koszul_from_doc
+        return "OrdinaryForm" if key in ("a", "b") else "KoszulElement"
     if key == "koszul" or check.startswith("koszul_"):
-        return koszul_from_doc
-    return gen_from_doc
+        return "KoszulElement"
+    return "GeneralizedForm"
 
 
 @pytest.mark.parametrize("suite", ALL_SUITES)
@@ -421,7 +420,7 @@ def test_perturbed_failure_inputs_decode(suite):
             assert isinstance(inputs.pop("witness"), str)
         assert inputs
         for key, doc in inputs.items():
-            value = _input_decoder(failure["check"], key)(doc)
+            value = from_doc(_input_type(failure["check"], key), doc)
             assert to_doc(value) == doc
 
 
