@@ -105,27 +105,9 @@ class OrdinaryForm(SignedMonomials):
         return self._product(other)
 
     def d(self) -> OrdinaryForm:
-        """Exterior differential: f dx_I  ->  sum_j (d_j f) dx_j ^ dx_I."""
-        return self._new(_d_coefficients(self._context.coordinates, self.components))
-
-
-def _d_coefficients(coordinates: tuple[str, ...], components: Mapping) -> dict:
-    """f e_I  ->  sum_j (d_j f) dx_j e_I, for monomials whose generators
-    below len(coordinates) are the coordinate differentials dx_j."""
-    acc: dict[tuple[int, ...], Poly] = {}
-    for indices, poly in components.items():
-        for j, name in enumerate(coordinates):
-            df = poly.pderiv(name)
-            if df.is_zero:
-                continue
-            merged = merge_indices((j,), indices)
-            if merged is None:
-                continue
-            sign, key = merged
-            term = df if sign > 0 else -df
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return acc
+        """Exterior differential: f dx_I  ->  sum_j (d_j f) dx_j ^ dx_I, the
+        shared derivation with every generator's constant zero."""
+        return self._differential(self.chart.coordinates, (0,) * self.chart.dim)
 
 
 def dx(chart: Chart, *indices: int) -> OrdinaryForm:

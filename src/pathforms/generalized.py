@@ -25,7 +25,7 @@ from bisect import bisect_left
 from types import MappingProxyType
 from typing import Mapping
 
-from .forms import Chart, OrdinaryForm, _d_coefficients
+from .forms import Chart, OrdinaryForm
 from .koszul import KoszulElement, KoszulParams
 from .polyring import MismatchError, Poly, RationalLike, checked_type
 from .signs import SignedMonomials, _store, checked_indices, sort_with_sign
@@ -133,14 +133,12 @@ class GeneralizedForm(SignedMonomials):
         return self._product(other)
 
     def d(self) -> GeneralizedForm:
-        """The degree +1 differential of the tensor product complex: the
-        ordinary d on the coefficients, plus the Koszul contraction, whose
+        """The degree +1 differential of the tensor product complex, the
+        shared derivation on the words dx_I z_S with constant 0 on each dx_i:
+        the ordinary d on the coefficients, plus the Koszul contraction, whose
         sign (-1)^{deg a} is the parity of z_j's position after dx_I."""
         chart, params = self._context
-        return self._contract(
-            (0,) * chart.dim + params.constants,
-            _d_coefficients(chart.coordinates, self.components),
-        )
+        return self._differential(chart.coordinates, (0,) * chart.dim + params.constants)
 
 
 def pair_encode(

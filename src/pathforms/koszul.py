@@ -97,5 +97,6 @@ class KoszulElement(SignedMonomials):
         return self._product(other)
 
     def d(self) -> KoszulElement:
-        """The degree +1 differential determined by d(z_i) = k_i."""
-        return self._contract(self.params.constants, {})
+        """The degree +1 differential determined by d(z_i) = k_i: the shared
+        derivation with no coordinates, so rational coefficients are constants."""
+        return self._differential((), self.params.constants)

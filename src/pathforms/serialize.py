@@ -311,10 +311,6 @@ def poly_from_doc(doc: Any, variables: tuple[str, ...]) -> Poly:
 # -- charts and forms ---------------------------------------------------------
 
 
-def chart_to_doc(chart: Chart) -> list:
-    return list(chart.coordinates)
-
-
 def chart_from_doc(doc: Any) -> Chart:
     names = _expect(doc, list, "a chart")
     return _construct(Chart, tuple(_expect(n, str, "a coordinate name") for n in names))

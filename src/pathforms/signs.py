@@ -1,18 +1,21 @@
 """Signed exterior monomials: permutation parity and the shared kernel.
 
 Coordinate differentials (degree +1) and the degree -1 generators of the
-inverted exterior algebra are all odd, so any two anticommute and a single
-signed-merge routine gives every sign in the package.  Keeping one code
-path for signs means one set of parity tests guards all of them.
+inverted exterior algebra are all odd, so any two anticommute and every
+sign in the package is a permutation parity: a merge parity for
+products, a sorted position's parity for the differential.  Keeping
+both here means one set of parity tests guards all of them.
 
 `SignedMonomials` is the part the three algebras share: checked,
 read-only storage of coefficients on exterior monomials, degree
-bookkeeping, the linear structure, the merge-sign product and the
-contraction by constants that the negative-degree differential uses.
+bookkeeping, the linear structure, the merge-sign product and the one
+differential, which each algebra's `d` calls with its own coordinates
+and constants.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
@@ -88,13 +91,13 @@ class SignedMonomials:
     I is a strictly increasing tuple of generator indices; the empty tuple
     indexes the unit.  The generators are odd and anticommute, and e_I has
     degree `_degree(I)`, by default |I|.  Coefficients
-    are ungraded ring elements, so every sign comes from merge_indices.
+    are ungraded ring elements, so every sign is a permutation parity.
 
     A subclass fixes the context its values live in, checks coefficients
-    (`_checked`) and defines its own `d`.  `components` is a read-only
-    mapping from index tuples to nonzero coefficients that iterates in no
-    fixed order; values of one context hash consistently with `==`, which
-    ignores that order.
+    (`_checked`) and defines its own `d` as one `_differential` call.
+    `components` is a read-only mapping from index tuples to nonzero
+    coefficients that iterates in no fixed order; values of one context
+    hash consistently with `==`, which ignores that order.
     """
 
     __slots__ = ("_context", "components")
@@ -231,23 +234,33 @@ class SignedMonomials:
                 acc[key] = term if prev is None else prev + term
         return self._new(acc)
 
-    def _contract(self, constants: tuple, acc: dict):
-        """acc plus the image of this value under the odd derivation that
-        sends generator e_i to the constant coefficient constants[i]:
+    def _differential(self, coordinates: tuple[str, ...], constants: tuple):
+        """The odd derivation that sends a coefficient c to the sum over j
+        of (d c / d coordinates[j]) e_j, and generator e_i to constants[i]:
 
-            c e_I  ->  sum_j (-1)^j k_{i_j} c e_{I minus i_j}
+            c e_I  ->  sum_j (d_j c) e_j e_I
+                       + sum_pos (-1)^pos k_{i_pos} c e_{I minus i_pos}
 
-        with j the position of i_j in I; generators whose constant is zero
-        drop out."""
+        where e_j e_I is (-1)^pos e_{I with j at pos} for j's sorted
+        position pos in I, or zero when j is in I.  Zero constants drop out."""
+        acc: dict[tuple[int, ...], Any] = {}
         for indices, coeff in self.components.items():
-            for j, i in enumerate(indices):
+            for j, name in enumerate(coordinates):
+                if j in indices or not (df := coeff.pderiv(name)):
+                    continue
+                pos = bisect_left(indices, j)
+                term = df if pos % 2 == 0 else -df
+                key = indices[:pos] + (j,) + indices[pos:]
+                prev = acc.get(key)
+                acc[key] = term if prev is None else prev + term
+            for pos, i in enumerate(indices):
                 k = constants[i]
                 if not k:
                     continue
                 term = k * coeff
-                if j % 2:
+                if pos % 2:
                     term = -term
-                key = indices[:j] + indices[j + 1 :]
+                key = indices[:pos] + indices[pos + 1 :]
                 prev = acc.get(key)
                 acc[key] = term if prev is None else prev + term
         return self._new(acc)

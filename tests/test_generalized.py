@@ -1,13 +1,16 @@
 """Generalized forms: tensor signs, the induced differential, pair view."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pathforms.forms import Chart, OrdinaryForm, dx
 from pathforms.generalized import GeneralizedForm, pair_decode, pair_encode
 from pathforms.koszul import KoszulElement, KoszulParams
-from pathforms.polyring import MismatchError
+from pathforms.polyring import MismatchError, Poly
+from pathforms.serialize import default_target_chart
 
 R1 = Chart(("x1",))
 R2 = Chart(("x1", "x2"))
@@ -158,6 +161,49 @@ def test_from_koszul_embedding_respects_d():
     element = KoszulElement(params, {(0, 1): Fraction(1)})
     embedded = GeneralizedForm.from_koszul(R1, element)
     assert embedded.d() == GeneralizedForm.from_koszul(R1, element.d())
+
+
+_small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_charts = st.integers(1, 3).map(default_target_chart)
+_params = st.lists(_small, min_size=1, max_size=3).map(lambda ks: KoszulParams(tuple(ks)))
+
+
+def _subsets(n: int):
+    return st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+
+
+def _forms(chart: Chart):
+    """Forms with up to three components, each a Poly of up to three
+    terms of degree at most 2 in each coordinate."""
+    exps = st.tuples(*[st.integers(0, 2)] * chart.dim)
+    polys = st.dictionaries(exps, _small, max_size=3).map(
+        lambda terms: Poly(chart.coordinates, terms)
+    )
+    components = st.dictionaries(_subsets(chart.dim), polys, max_size=3)
+    return components.map(lambda components: OrdinaryForm(chart, components))
+
+
+def _koszul(params: KoszulParams):
+    terms = st.dictionaries(_subsets(params.n), _small, max_size=3)
+    return terms.map(lambda terms: KoszulElement(params, terms))
+
+
+@given(st.data())
+def test_from_form_is_a_dga_map(data):
+    chart, params = data.draw(_charts), data.draw(_params)
+    a, b = data.draw(_forms(chart)), data.draw(_forms(chart))
+    embed = partial(GeneralizedForm.from_form, params=params)
+    assert embed(a).d() == embed(a.d())
+    assert embed(a).wedge(embed(b)) == embed(a.wedge(b))
+
+
+@given(st.data())
+def test_from_koszul_is_a_dga_map(data):
+    chart, params = data.draw(_charts), data.draw(_params)
+    x, y = data.draw(_koszul(params)), data.draw(_koszul(params))
+    embed = partial(GeneralizedForm.from_koszul, chart)
+    assert embed(x).d() == embed(x.d())
+    assert embed(x).wedge(embed(y)) == embed(x.mul(y))
 
 
 def test_non_integer_indices_rejected():

@@ -391,7 +391,8 @@ CHECKS = {
     **{
         f"golden:{name}": _golden_check(name)
         for name in (
-            "map_I", "eval_pathform", "wedge_prime", "gen_d", "koszul_d", "cli_dense"
+            "map_I", "eval_pathform", "wedge_prime", "form_d", "gen_d", "koszul_d",
+            "cli_dense",
         )
     },
     "cross_case_0": _case_check(lambda: cross_term_cases()[0]),
@@ -557,9 +558,21 @@ MUTATIONS = {
     ),
     "drop_contract_sign": (
         SignedMonomials,
-        "_contract",
-        ("if j % 2:", "if False:"),
+        "_differential",
+        ("if pos % 2:", "if False:"),
         ("suite:d_squared", "suite:leibniz", "golden:koszul_d"),
+    ),
+    "drop_insert_sign": (
+        SignedMonomials,
+        "_differential",
+        ("term = df if pos % 2 == 0 else -df", "term = df"),
+        (
+            "suite:leibniz",
+            "suite:dI_commute",
+            "golden:gen_d",
+            "golden:form_d",
+            "dense_homotopy",
+        ),
     ),
 }
 
