@@ -2,9 +2,10 @@
 
 Coordinate differentials (degree +1) and the degree -1 generators of the
 inverted exterior algebra are all odd, so any two anticommute and every
-sign in the package is a permutation parity: a merge parity for
-products, a sorted position's parity for the differential.  Keeping
-both here means one set of parity tests guards all of them.
+sign in the package is a permutation parity read off sorted positions:
+a product's counts the letters each right letter passes (`bisect`), the
+differential's is one generator's sorted position.  Keeping both here
+means one set of parity tests guards all of them.
 
 `SignedMonomials` is the part the three algebras share: checked,
 read-only storage of coefficients on exterior monomials, degree
@@ -16,6 +17,7 @@ and constants.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
@@ -25,44 +27,26 @@ from .polyring import MismatchError, Poly, as_fraction, as_int_tuple
 def merge_indices(
     left: tuple[int, ...], right: tuple[int, ...]
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Merge two strictly increasing tuples, tracking sort parity.
-
-    Returns (sign, merged) where sign is the parity of the permutation
-    that sorts the concatenation left + right, or None when the tuples
-    share an index (the corresponding product vanishes).
-    """
-    i, j = 0, 0
+    """(sign, merged) for e_left e_right, with left and right strictly
+    increasing: each b in right passes the letters of left above its sorted
+    position k, so the sign is the parity of the sum of len(left) - k.
+    None when the words share an index (the product vanishes)."""
     inversions = 0
-    merged: list[int] = []
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
+    for b in right:
+        k = bisect_left(left, b)
+        if k < len(left) and left[k] == b:
             return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            # b jumps over every remaining element of `left`
-            merged.append(b)
-            j += 1
-            inversions += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    sign = -1 if inversions % 2 else 1
-    return sign, tuple(merged)
+        inversions += len(left) - k
+    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
 def sort_with_sign(indices: tuple[int, ...]) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Sort an index tuple, returning (parity, sorted) or None on repeats."""
-    sign = 1
-    out: tuple[int, ...] = ()
-    for idx in indices:
-        merged = merge_indices(out, (idx,))
-        if merged is None:
-            return None
-        step, out = merged
-        sign *= step
-    return sign, out
+    """(parity, sorted) for an index word, the parity of its inverted pairs;
+    None on a repeated index."""
+    if len(set(indices)) < len(indices):
+        return None
+    inversions = sum(a > b for a, b in combinations(indices, 2))
+    return (-1 if inversions % 2 else 1), tuple(sorted(indices))
 
 
 def checked_indices(indices: Any, generators: int) -> tuple[int, ...]:

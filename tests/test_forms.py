@@ -1,6 +1,7 @@
 """Forms on a chart: wedge and differential signs, pullback laws."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +25,39 @@ def test_merge_parity():
     assert merge_indices((0,), (0,)) is None
     assert sort_with_sign((2, 0, 1)) == (1, (0, 1, 2))
     assert sort_with_sign((1, 1)) is None
+
+
+def _oracle_sign(word):
+    """The sign and sorted word of a product of odd generators, counted
+    from the definition: (-1) to the number of pairs i < j with
+    word[i] > word[j], or None when a generator repeats."""
+    if len(set(word)) < len(word):
+        return None
+    inverted = sum(1 for i, j in combinations(range(len(word)), 2) if word[i] > word[j])
+    return (-1) ** inverted, tuple(sorted(word))
+
+
+def test_sort_with_sign_matches_the_oracle():
+    words = [w for n in range(6) for w in product(range(6), repeat=n)]
+    assert len(words) == 9331
+    assert [w for w in words if sort_with_sign(w) != _oracle_sign(w)] == []
+
+
+def test_merge_indices_matches_the_oracle():
+    increasing = [w for n in range(5) for w in combinations(range(7), n)]
+    pairs = list(product(increasing, repeat=2))
+    assert len(pairs) == 99**2
+    assert [(a, b) for a, b in pairs if merge_indices(a, b) != _oracle_sign(a + b)] == []
+
+
+def test_bool_is_false_for_zero_alone():
+    params = KoszulParams((Fraction(1), Fraction(0)))
+    for zero, one in (
+        (OrdinaryForm.zero(R2), dx(R2, 0)),
+        (KoszulElement.zero(params), KoszulElement(params, {(1,): 1})),
+        (GeneralizedForm.zero(R2, params), GeneralizedForm.zeta(R2, params, 1)),
+    ):
+        assert (bool(zero), bool(one)) == (False, True)
 
 
 def test_wedge_transposition_sign():

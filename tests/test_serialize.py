@@ -2,6 +2,8 @@
 
 import inspect
 import json
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +63,15 @@ from pathforms.verify import GenConfig, gen_random
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 X2 = Chart(("x1", "x2"))
+
+
+def test_writers_name_the_digit_limit():
+    # one digit past the limit on writing an int as text
+    big = Fraction(10 ** sys.get_int_max_str_digits())
+    with pytest.raises(ValueError, match=r"more than \d+ digits"):
+        frac_to_str(big)
+    with pytest.raises(ValueError, match=r"more than \d+ digits"):
+        poly_to_doc(Poly.const(("x",), big))
 
 
 def test_rational_strings():
@@ -588,6 +599,19 @@ def test_expression_round_trip():
 def test_expression_encoder_rejects_a_non_expression():
     with pytest.raises(TypeError, match="not a path-form expression"):
         expr_to_doc(42)
+
+    # a subclass of a node is no node: its name has no decoder
+    @dataclass(frozen=True)
+    class Echo(Chen):
+        pass
+
+    with pytest.raises(TypeError, match="not a path-form expression"):
+        to_doc(Echo(dx(X2, 0)))
+
+
+def test_decoder_rejects_an_unknown_type_name():
+    with pytest.raises(TypeError, match="no decoder for type 'Nope'"):
+        from_doc("Nope", {})
 
 
 def test_expression_doc_rejections():
