@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
-from pathlib import Path
 
 from .forms import Chart, OrdinaryForm
 from .pathspace import (
@@ -37,7 +35,8 @@ MISMATCH_ERROR = 3
 
 def _read_doc(path: str):
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     return loads(text)
@@ -122,7 +121,7 @@ def _cmd_ev(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     try:
-        cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
+        cfg = GenConfig(**{name: getattr(args, name) for name, _, _ in GenConfig._fields})
     except ValueError as e:
         # a flag value out of range is a usage error, like a malformed one
         raise ParseError(str(e)) from e
@@ -161,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = add("verify", _cmd_verify, "run property suites")
     cmd.add_argument("--suite", default="all", choices=("all",) + ALL_SUITES)
-    for field in fields(GenConfig):
-        flag = "--" + field.name.replace("_", "-")
-        cmd.add_argument(flag, type=int, default=field.default)
+    for name, _, default in GenConfig._fields:
+        cmd.add_argument("--" + name.replace("_", "-"), type=int, default=default)
 
     return parser
 
@@ -183,7 +181,8 @@ def main(argv=None) -> int:
         return MISMATCH_ERROR
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as e:
             print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
             return PARSE_ERROR

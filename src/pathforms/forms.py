@@ -15,22 +15,21 @@ graded slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
 from .polyring import MismatchError, Poly, RationalLike, _MonomialTable, _distinct
 from .polyring import _sum_of_products, checked_type
+from .record import Record
 from .signs import SignedMonomials, merge_indices, sort_with_sign
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """An ordered tuple of distinct coordinate names (dimension may be 0)."""
 
-    coordinates: tuple[str, ...]
+    __slots__ = dict(coordinates="tuple[str, ...]")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coordinates", _distinct(self.coordinates))
+    def __init__(self, coordinates: tuple[str, ...]):
+        object.__setattr__(self, "coordinates", _distinct(coordinates))
 
     @property
     def dim(self) -> int:
@@ -123,32 +122,21 @@ def dx(chart: Chart, *indices: int) -> OrdinaryForm:
     return OrdinaryForm.basis(chart, key, sign)
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(Record):
     """A polynomial map between charts: one source-coordinate Poly per
     target coordinate."""
 
-    source: Chart
-    target: Chart
-    components: tuple[Poly, ...]
+    __slots__ = dict(source="Chart", target="Chart", components="tuple[Poly, ...]")
 
-    def __post_init__(self):
-        source = checked_type(self.source, Chart, "a map's source")
-        dim = checked_type(self.target, Chart, "a map's target").dim
-        comps = tuple(source.own(poly, "a map component") for poly in self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, source: Chart, target: Chart, components: tuple[Poly, ...]):
+        checked_type(source, Chart, "a map's source")
+        dim = checked_type(target, Chart, "a map's target").dim
+        comps = tuple(source.own(poly, "a map component") for poly in components)
         if len(comps) != dim:
             raise MismatchError(f"expected {dim} components, got {len(comps)}")
-
-    @classmethod
-    def _trusted(cls, source: Chart, target: Chart, components: tuple[Poly, ...]):
-        """The trusted constructor for components already checked to be one
-        Poly over `source` per coordinate of `target`: checks nothing."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "source", source)
-        object.__setattr__(out, "target", target)
-        object.__setattr__(out, "components", components)
-        return out
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", comps)
 
     @classmethod
     def identity(cls, chart: Chart) -> PolyMap:

@@ -17,27 +17,25 @@ rational coefficients; the empty tuple indexes the scalar part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .polyring import RationalLike, as_fraction, checked_type
+from .record import Record
 from .signs import SignedMonomials
 
 
-@dataclass(frozen=True)
-class KoszulParams:
+class KoszulParams(Record):
     """Generator count and the constants k_i the differential maps them to.
 
     Zero constants are legal here; operations whose correctness needs an
     invertible k enforce that themselves.
     """
 
-    constants: tuple[Fraction, ...]
+    __slots__ = dict(constants="tuple[Fraction, ...]")
 
-    def __post_init__(self):
-        consts = tuple(as_fraction(c) for c in self.constants)
-        object.__setattr__(self, "constants", consts)
+    def __init__(self, constants: tuple[Fraction, ...]):
+        object.__setattr__(self, "constants", tuple(as_fraction(c) for c in constants))
 
     @property
     def n(self) -> int:

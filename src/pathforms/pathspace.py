@@ -23,7 +23,6 @@ is well defined in degrees >= 1 where map_I is injective (k nonzero).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import ClassVar
 
@@ -31,6 +30,7 @@ from .forms import Chart, OrdinaryForm, PolyMap
 from .generalized import GeneralizedForm, pair_decode
 from .polyring import MismatchError, Poly, _W, _integral_of_products, as_fraction
 from .polyring import checked_type
+from .record import Record
 
 
 def _check_endpoint(endpoint: int) -> None:
@@ -41,13 +41,12 @@ def _check_endpoint(endpoint: int) -> None:
         raise ValueError(f"endpoint must be 0 or 1, got {endpoint!r}")
 
 
-@dataclass(frozen=True, init=False)
 class Plot(PolyMap):
     """A polynomial family of paths [0,1] -> target, parametrized by a
     domain chart: the map to the target from the cylinder chart
     (time, u_1, ..., u_m), its source, over which the components live."""
 
-    domain: Chart
+    __slots__ = dict(domain="Chart")
     time: ClassVar[str] = "t"
 
     def __init__(self, target: Chart, domain: Chart, components: tuple[Poly, ...]):
@@ -120,34 +119,35 @@ def ev_pullback(endpoint: int, form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
 # -- expression trees ---------------------------------------------------------
 
 
-class PathFormExpr:
+class PathFormExpr(Record):
     """Base class for symbolic path-space forms."""
 
     __slots__ = ()
 
-    def __post_init__(self):
-        """Check each field against its annotation name, the names
-        serialize.from_doc decodes by; a tuple field is stored as a tuple."""
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int":
+    def __init__(self, *values):
+        """One value per field, checked against the field's annotation, the
+        name serialize.from_doc decodes it by; a tuple field stores a tuple."""
+        if len(values) != len(self._fields):
+            Record.__init__(self, *values)  # raises its TypeError
+        for (name, kind, _), value in zip(self._fields, values):
+            if kind == "int":
                 _check_endpoint(value)
-            elif field.type == "Fraction":
-                object.__setattr__(self, field.name, as_fraction(value))
+            elif kind == "Fraction":
+                value = as_fraction(value)
             else:
                 items = (value,)
-                if field.type == "tuple[PathFormExpr, ...]":
-                    items = tuple(value)
-                    object.__setattr__(self, field.name, items)
-                kind = OrdinaryForm if field.type == "OrdinaryForm" else PathFormExpr
+                if kind == "tuple[PathFormExpr, ...]":
+                    value = items = tuple(value)
+                checked = OrdinaryForm if kind == "OrdinaryForm" else PathFormExpr
                 for item in items:
-                    checked_type(item, kind, f"{type(self).__name__}.{field.name}")
+                    checked_type(item, checked, f"{type(self).__name__}.{name}")
+            object.__setattr__(self, name, value)
 
     def forms(self) -> Iterator[OrdinaryForm]:
         """Every OrdinaryForm field, in field order, recursing into the
         subexpression fields."""
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name, _, _ in self._fields:
+            value = getattr(self, name)
             if isinstance(value, OrdinaryForm):
                 yield value
             elif isinstance(value, PathFormExpr):
@@ -157,49 +157,40 @@ class PathFormExpr:
                     yield from child.forms()
 
 
-@dataclass(frozen=True)
 class EvPull(PathFormExpr):
     """Pullback of a target form along the endpoint evaluation (0 or 1)."""
 
-    endpoint: int
-    form: OrdinaryForm
+    __slots__ = dict(endpoint="int", form="OrdinaryForm")
 
 
-@dataclass(frozen=True)
 class Chen(PathFormExpr):
     """First-order t-integral of a target form; lowers degree by 1."""
 
-    form: OrdinaryForm
+    __slots__ = dict(form="OrdinaryForm")
 
 
-@dataclass(frozen=True)
 class Wedge(PathFormExpr):
     """Pointwise wedge of two path-space forms (per plot)."""
 
-    left: PathFormExpr
-    right: PathFormExpr
+    __slots__ = dict(left="PathFormExpr", right="PathFormExpr")
 
 
-@dataclass(frozen=True)
 class Diff(PathFormExpr):
     """Exterior differential of a path-space form (per plot)."""
 
-    child: PathFormExpr
+    __slots__ = dict(child="PathFormExpr")
 
 
-@dataclass(frozen=True)
 class Sum(PathFormExpr):
     """Formal sum; the empty sum is the zero expression."""
 
-    children: tuple[PathFormExpr, ...]
+    __slots__ = dict(children="tuple[PathFormExpr, ...]")
 
 
-@dataclass(frozen=True)
 class Scale(PathFormExpr):
     """Rational multiple of a path-space form."""
 
-    coeff: Fraction
-    child: PathFormExpr
+    __slots__ = dict(coeff="Fraction", child="PathFormExpr")
 
 
 def zero_expr() -> PathFormExpr:

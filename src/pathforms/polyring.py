@@ -53,7 +53,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 #: Scalars are exact rationals throughout the package.
 Rational = Fraction
@@ -240,11 +240,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._nums)
 
-    def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        count = len(self.variables)
-        return max((sum(_unpack(key, count)) for key in self._nums), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -256,6 +251,9 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash((self.variables, self._den, frozenset(self._nums.items())))
+
+    def __reduce__(self):
+        return Poly._make, (self.variables, dict(self._nums), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -337,9 +335,17 @@ class Poly:
         """Definite integral over name in [0, 1]: t^n * m  ->  m / (n + 1).
 
         The result no longer depends on `name` but keeps the same variable
-        list (the exponent is zero everywhere).
+        list (the exponent is zero everywhere).  Each weight 1 / (n + 1) is
+        an integer factor over the lcm of the n + 1.
         """
-        return self._weigh(name, lambda e: Fraction(1, e + 1))
+        s = self._shift(name)
+        scale = lcm(*{(key >> s & _MASK) + 1 for key in self._nums})
+        out: dict[int, int] = {}
+        for key, n in self._nums.items():
+            e = key >> s & _MASK
+            key -= e << s
+            out[key] = out.get(key, 0) + n * (scale // (e + 1))
+        return Poly._make(self.variables, out, self._den * scale)
 
     def compose(
         self,
@@ -371,36 +377,6 @@ class Poly:
                     f"{image.variables!r} vs {target!r}"
                 )
         return _MonomialTable(images, target).compose(self)
-
-    def set_var(self, name: str, value: RationalLike) -> Poly:
-        """Substitute a rational constant for one variable, keeping the list."""
-        c = as_fraction(value)
-        return self._weigh(name, lambda e: c**e)
-
-    def _weigh(self, name: str, weight: Callable[[int], Fraction]) -> Poly:
-        """t^e * m  ->  weight(e) * m for t the variable `name`, with one
-        weight per distinct exponent, over one common denominator."""
-        s = self._shift(name)
-        weights = {e: weight(e) for e in {key >> s & _MASK for key in self._nums}}
-        scale = lcm(*(w.denominator for w in weights.values()))
-        factors = {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
-        out: dict[int, int] = {}
-        for key, n in self._nums.items():
-            e = key >> s & _MASK
-            key -= e << s
-            out[key] = out.get(key, 0) + n * factors[e]
-        return Poly._make(self.variables, out, self._den * scale)
-
-    def drop_var(self, name: str) -> Poly:
-        """Remove a variable the polynomial does not actually use."""
-        s = self._shift(name)
-        if any(key >> s & _MASK for key in self._nums):
-            raise MismatchError(f"polynomial still depends on {name!r}")
-        i = self.variables.index(name)
-        names = self.variables[:i] + self.variables[i + 1 :]
-        low = (1 << s) - 1
-        out = {key >> _W & ~low | key & low: n for key, n in self._nums.items()}
-        return Poly._make(names, out, self._den)
 
     # -- display -----------------------------------------------------------
 

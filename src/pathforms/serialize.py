@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd, lcm
@@ -468,8 +467,8 @@ def _encode(value: Any, poly: Callable, depth: int) -> Any:
         if depth < 0:
             raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         doc: dict[str, Any] = {"node": name}
-        for field in fields(value):
-            doc[field.name] = _encode(getattr(value, field.name), poly, depth - 1)
+        for field, _, _ in value._fields:
+            doc[field] = _encode(getattr(value, field), poly, depth - 1)
         return doc
     if isinstance(value, Fraction):
         return frac_to_str(value)
@@ -482,8 +481,8 @@ def _encode(value: Any, poly: Callable, depth: int) -> Any:
 
 def from_doc(type_name: str, doc: Any, chart: Chart | None = None) -> Any:
     """The value of a document of the named type (one of to_doc's, or an
-    expression node field's annotation), by its type's decoder (a module
-    global, looked up per call); a plot is read against `chart`."""
+    annotation in an expression node's field table), by its type's decoder
+    (a module global, looked up per call); a plot is read against `chart`."""
     return _decode(type_name, doc, chart, MAX_EXPR_DEPTH)
 
 
@@ -505,8 +504,8 @@ def _decode(type_name: str, doc: Any, chart: Chart | None, depth: int) -> Any:
         if cls is None:
             raise ParseError(f"unknown expression node {node!r}")
         args = []
-        for field in fields(cls):
-            args.append(_decode(field.type, obj.get(field.name), None, depth - 1))
+        for name, kind, _ in cls._fields:
+            args.append(_decode(kind, obj.get(name), None, depth - 1))
         return _construct(cls, *args)
     if type_name == "tuple[PathFormExpr, ...]":
         items = _expect(doc, list, "expressions")
@@ -523,8 +522,8 @@ def _decode(type_name: str, doc: Any, chart: Chart | None, depth: int) -> Any:
 # -- path-form expressions ------------------------------------------------------
 
 
-# A node's document holds its class name under "node" and each field under
-# its name, read back by from_doc under the field's annotated type name.
+# A node's document holds its class name under "node" and each field of its
+# field table under its name, read back by from_doc under its annotation.
 _NODES = {cls.__name__: cls for cls in (EvPull, Chen, Wedge, Diff, Sum, Scale)}
 
 #: The deepest expression to_doc writes and from_doc reads: the most nodes

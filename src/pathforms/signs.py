@@ -55,9 +55,7 @@ def checked_indices(indices: Any, generators: int) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"index tuple {idx!r} is not strictly increasing")
     if idx and (idx[0] < 0 or idx[-1] >= generators):
-        raise ValueError(
-            f"index tuple {idx!r} out of range for {generators} generators"
-        )
+        raise ValueError(f"index tuple {idx!r} out of range for {generators} generators")
     return idx
 
 
@@ -118,6 +116,9 @@ class SignedMonomials:
     def _new(self, components: Mapping[tuple[int, ...], Any]):
         """A value in this context through the trusted constructor."""
         return self._trusted(self._context, components)
+
+    def __reduce__(self):
+        return self._trusted, (self._context, dict(self.components))
 
     # -- predicates and degree bookkeeping -----------------------------------
 

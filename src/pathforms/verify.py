@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import asdict, astuple, dataclass
+from copy import deepcopy
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -47,6 +47,7 @@ from .pathspace import (
     wedge_prime_explicit,
 )
 from .polyring import _W, Poly, as_int_tuple
+from .record import Record
 from .serialize import MAX_CHART_DIM, default_domain_chart, default_target_chart, to_doc
 
 
@@ -65,50 +66,46 @@ _FRACTIONS = tuple(
 # a generalized form has up to 2**koszul_n z-monomials
 MAX_POLY_DEG = 64
 MAX_KOSZUL_N = 10
+# GenConfig's positive fields and their caps, plot_from_doc's on dimensions
+_LIMITS = dict(chart_dim=MAX_CHART_DIM, plot_dim=MAX_CHART_DIM)
+_LIMITS.update(poly_deg=MAX_POLY_DEG, koszul_n=MAX_KOSZUL_N)
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     """Seed and bounds of a verification run; the `verify` verb has one
     integer flag per field, with the field's default."""
 
-    seed: int = 0
-    chart_dim: int = 3
-    plot_dim: int = 2
-    poly_deg: int = 3
-    koszul_n: int = 3
-    trials: int = 100
+    __slots__ = dict.fromkeys(
+        ("seed", "chart_dim", "plot_dim", "poly_deg", "koszul_n", "trials"), "int"
+    )
 
-    def __post_init__(self):
-        as_int_tuple(astuple(self), "GenConfig fields")
-        # plot_from_doc's cap on dimensions, so that failure records read back
-        limits = dict(chart_dim=MAX_CHART_DIM, plot_dim=MAX_CHART_DIM)
-        limits.update(poly_deg=MAX_POLY_DEG, koszul_n=MAX_KOSZUL_N)
-        for name in limits:
+    def __init__(self, seed=0, chart_dim=3, plot_dim=2, poly_deg=3, koszul_n=3, trials=100):
+        values = (seed, chart_dim, plot_dim, poly_deg, koszul_n, trials)
+        Record.__init__(self, *as_int_tuple(values, "GenConfig fields"))
+        for name in _LIMITS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name, limit in limits.items():
+        for name, limit in _LIMITS.items():
             if getattr(self, name) > limit:
                 raise ValueError(f"{name} is above the limit of {limit}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
 
 
-@dataclass
-class SuiteReport:
-    """Outcome of one suite run; empty failures means the suite passed."""
+class SuiteReport(Record):
+    """Outcome of one suite run, mutable and unhashable; no failures is a pass."""
 
-    suite: str
-    trials: int
-    failures: list[dict]
-    elapsed: float
+    __slots__ = dict(suite="str", trials="int", failures="list[dict]", elapsed="float")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_doc(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        """The report's document, sharing no list or dict with the report."""
+        doc = {name: deepcopy(getattr(self, name)) for name, _, _ in self._fields}
+        return {**doc, "passed": self.passed}
 
 
 def _rng(cfg: GenConfig, label: str, index: int) -> random.Random:
@@ -459,58 +456,45 @@ def _wedge_prime(rng: random.Random, chart: Chart, cfg: GenConfig, mutation):
 # Injectivity in degrees >= 1 has no finite test, so the witness suite
 # ships fixed instances: a nonzero element, a plot, and the hand-checked
 # value of its image there.
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A generalized form, a plot, and the exact evaluation of its image."""
 
-    label: str
-    alpha: GeneralizedForm
-    plot: Plot
-    expected: OrdinaryForm
-
-
-def _line_plot() -> Plot:
-    # x1 = t * u1
-    target = Chart(("x1",))
-    domain = Chart(("u1",))
-    cyl = ("t", "u1")
-    tu = Poly.var(cyl, "t") * Poly.var(cyl, "u1")
-    return Plot(target, domain, (tu,))
+    __slots__ = dict(
+        label="str", alpha="GeneralizedForm", plot="Plot", expected="OrdinaryForm"
+    )
 
 
 def injectivity_cases() -> tuple[Witness, ...]:
-    w1_target = Chart(("x1",))
-    w1_domain = Chart(("u1",))
+    x1, x12 = Chart(("x1",)), Chart(("x1", "x2"))
+    u1 = Chart(("u1",))
+    cyl = ("t", "u1")
+    t = Poly.var(cyl, "t")
+    tu1 = t * Poly.var(cyl, "u1")
+    # x1 = t * u1: the endpoint pullback of dx1 is du1
     w1 = Witness(
         "degree 1, endpoint part",
-        pair_encode(dx(w1_target, 0), OrdinaryForm.zero(w1_target), 1),
-        _line_plot(),
-        dx(w1_domain, 0),
+        pair_encode(dx(x1, 0), OrdinaryForm.zero(x1), 1),
+        Plot(x1, u1, (tu1,)),
+        dx(u1, 0),
     )
 
     # x1 = t, x2 = t * u1: the t-integral of dx1 ^ dx2 is (1/2) du1
-    w2_target = Chart(("x1", "x2"))
-    w2_domain = Chart(("u1",))
-    cyl = ("t", "u1")
-    t = Poly.var(cyl, "t")
-    u1 = Poly.var(cyl, "u1")
     w2 = Witness(
         "degree 1, integral part",
-        pair_encode(OrdinaryForm.zero(w2_target), dx(w2_target, 0, 1), 1),
-        Plot(w2_target, w2_domain, (t, t * u1)),
-        OrdinaryForm.basis(w2_domain, (0,), Fraction(1, 2)),
+        pair_encode(OrdinaryForm.zero(x12), dx(x12, 0, 1), 1),
+        Plot(x12, u1, (t, tu1)),
+        OrdinaryForm.basis(u1, (0,), Fraction(1, 2)),
     )
 
     # x1 = t * u1, x2 = t * u2: endpoint pullback of dx1 ^ dx2 is du1 ^ du2
-    w3_target = Chart(("x1", "x2"))
-    w3_domain = Chart(("u1", "u2"))
+    u12 = Chart(("u1", "u2"))
     cyl3 = ("t", "u1", "u2")
     t3 = Poly.var(cyl3, "t")
     w3 = Witness(
         "degree 2, endpoint part",
-        pair_encode(dx(w3_target, 0, 1), OrdinaryForm.zero(w3_target), 1),
-        Plot(w3_target, w3_domain, (t3 * Poly.var(cyl3, "u1"), t3 * Poly.var(cyl3, "u2"))),
-        dx(w3_domain, 0).wedge(dx(w3_domain, 1)),
+        pair_encode(dx(x12, 0, 1), OrdinaryForm.zero(x12), 1),
+        Plot(x12, u12, (t3 * Poly.var(cyl3, "u1"), t3 * Poly.var(cyl3, "u2"))),
+        dx(u12, 0).wedge(dx(u12, 1)),
     )
     return (w1, w2, w3)
 
@@ -519,12 +503,9 @@ def _injectivity_witness(witness: Witness, cfg: GenConfig, mutation):
     """map_I(alpha) evaluates to the witness's expected value, which is
     nonzero, so matching it shows alpha is not in the kernel."""
     value = eval_pathform(map_I(witness.alpha), witness.plot) - witness.expected
-    yield "injectivity_witness", value, dict(
-        witness=witness.label,
-        alpha=witness.alpha,
-        plot=witness.plot,
-        expected=witness.expected,
-    )
+    # the witness's fields, its label under "witness"
+    values = {name: getattr(witness, name) for name, _, _ in witness._fields[1:]}
+    yield "injectivity_witness", value, {"witness": witness.label, **values}
 
 
 # the mutation every suite accepts: each check's value gains its unit

@@ -14,6 +14,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from poly_oracles import drop_var, set_var
 from pathforms.cli import main
 from pathforms.forms import Chart, OrdinaryForm, PolyMap, dx
 from pathforms.generalized import GeneralizedForm, pair_decode, pair_encode
@@ -359,7 +360,7 @@ def case_ev_pullback() -> dict:
         frozen = OrdinaryForm(
             U1,
             {
-                tuple(i - 1 for i in idx): poly.set_var("t", endpoint).drop_var("t")
+                tuple(i - 1 for i in idx): drop_var(set_var(poly, "t", endpoint), "t")
                 for idx, poly in wbar.components.items()
             },
         )

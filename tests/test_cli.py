@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,6 +379,35 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("where", ["missing.json", "."])
+def test_unreadable_input_path_exits_2(tmp_path, capsys, where):
+    # a missing file or a directory: the message names the path and the
+    # operating system's reason
+    path = str(tmp_path / where)
+    status, out, err = run(capsys, "d", path)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: [Errno ")
+    assert err.endswith(f": {path!r}\n")
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_pathlib():
+    # each verb is a fresh process, which pays for every module the CLI
+    # imports; these three cost about 20 ms and the package needs none
+    src = Path(pathforms.__file__).resolve().parents[1]
+    probe = "import sys, pathforms.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "pathforms.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "pathlib"}
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{oops")
@@ -618,8 +646,8 @@ def test_the_shared_parser_keeps_nothing_between_calls(tmp_path, capsys):
     assert run(capsys, *argv)[0] == 0
     args = build_parser().parse_args(["verify"])
     assert args.suite == "all"
-    assert [getattr(args, f.name) for f in fields(GenConfig)] == [
-        f.default for f in fields(GenConfig)
+    assert [getattr(args, name) for name, _, _ in GenConfig._fields] == [
+        default for _, _, default in GenConfig._fields
     ]
     helps = []
     for argv in (["--help"], ["verify", "--help"], ["--help"], ["verify", "--help"]):

@@ -1,12 +1,13 @@
 """Independent oracles for the polynomial kernel and the pullback table.
 
-`Poly` arithmetic, `compose`, `pderiv`, `defint01`, `set_var`, `drop_var`,
-`total_degree` and the t-integral of a sum of products are compared with
-sympy's sparse `ring(QQ)` and `integrate` (sympy is a test-only oracle,
-skipped when it is not installed).  Sums, differences,
-derivatives, integrals and dropped variables are also checked with
-exponents near MAX_EXPONENT, where a packed key's fields sit next to
-their top bit, so a carry between fields or a misordered key would show.
+`Poly` arithmetic, `compose`, `pderiv`, `defint01`, the tests' own
+`set_var`, `drop_var` and `total_degree`, and the t-integral of a sum of
+products are compared with sympy's sparse `ring(QQ)` and `integrate`
+(sympy is a test-only oracle, skipped when it is not installed).  Sums,
+differences, derivatives, integrals and dropped variables are also
+checked with exponents near MAX_EXPONENT, where a packed key's fields sit
+next to their top bit, so a carry between fields or a misordered key
+would show.
 `PolyMap.pullback` and `chen_integral` are compared with the textbook
 definition written out below: compose each coefficient term by term with
 repeated multiplication, then wedge by each dm_i in turn.
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poly_oracles import drop_var, set_var, total_degree
 from pathforms.forms import Chart, OrdinaryForm
 from pathforms.pathspace import Plot, chen_integral, decompose, ev_pullback
 from pathforms.polyring import MAX_EXPONENT, Poly, _integral_of_products
@@ -144,8 +146,8 @@ def test_defint01_near_the_exponent_limit_matches_sympy(a):
 @given(polys, coeffs)
 def test_set_var_matches_sympy(a, c):
     value = QQ(c.numerator, c.denominator)
-    assert a.set_var("x", c) == from_ring(to_ring(a).subs(RX, value))
-    assert a.set_var("y", c) == from_ring(to_ring(a).subs(RY, value))
+    assert set_var(a, "x", c) == from_ring(to_ring(a).subs(RX, value))
+    assert set_var(a, "y", c) == from_ring(to_ring(a).subs(RY, value))
 
 
 @given(st.dictionaries(st.tuples(wide), coeffs, max_size=6))
@@ -153,7 +155,7 @@ def test_drop_var_matches_sympy(terms):
     # a polynomial in one variable over (x, y), then over that variable alone
     for gone, generator, place in (("y", RY, lambda e: (e, 0)), ("x", RX, lambda e: (0, e))):
         a = Poly(XY, {place(e): c for (e,), c in terms.items()})
-        dropped = a.drop_var(gone)
+        dropped = drop_var(a, gone)
         assert dropped.variables == tuple(v for v in XY if v != gone)
         assert dict(dropped.terms) == {
             e: Fraction(int(c.numerator), int(c.denominator))
@@ -168,7 +170,7 @@ GRLEX = ring("x,y", QQ, order="grlex")[0]
 def test_total_degree_matches_sympy(a):
     # the leading monomial in graded order has the largest total degree;
     # sympy's zero polynomial leads with (0, 0), and Poly's degree is 0 too
-    assert a.total_degree() == sum(GRLEX.from_dict(dict(to_ring(a))).LM)
+    assert total_degree(a) == sum(GRLEX.from_dict(dict(to_ring(a))).LM)
 
 
 # -- pullback and the Chen integral against the wedge-by-each-dm_i definition --
@@ -203,7 +205,7 @@ def chen_by_definition(form: OrdinaryForm, plot: Plot) -> OrdinaryForm:
     out = {}
     for indices, poly in wdot.components.items():
         shifted = tuple(i - 1 for i in indices)
-        out[shifted] = poly.defint01(plot.time).drop_var(plot.time)
+        out[shifted] = drop_var(poly.defint01(plot.time), plot.time)
     return OrdinaryForm(plot.domain, out)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from poly_oracles import drop_var, set_var, total_degree
 from pathforms.polyring import MAX_EXPONENT, MismatchError, Poly, as_fraction
 from pathforms.polyring import _integral_of_products
 
@@ -88,11 +89,11 @@ def test_defint01():
 def test_set_and_drop_var():
     tu = ("t", "u")
     q = Poly(tu, {(2, 1): 1, (0, 1): 1})
-    frozen = q.set_var("t", 1)
+    frozen = set_var(q, "t", 1)
     assert frozen == Poly(tu, {(0, 1): 2})
-    assert frozen.drop_var("t") == Poly(("u",), {(1,): 2})
+    assert drop_var(frozen, "t") == Poly(("u",), {(1,): 2})
     with pytest.raises(ValueError):
-        q.drop_var("t")
+        drop_var(q, "t")
 
 
 def test_variable_mismatch_is_an_error():
@@ -259,7 +260,7 @@ def test_scalars_on_either_side():
 def test_constructor_accepts_exponents_up_to_the_limit():
     top = p({(MAX_EXPONENT, 0): 1, (0, MAX_EXPONENT): Fraction(1, 2)})
     assert top.terms == {(MAX_EXPONENT, 0): Fraction(1), (0, MAX_EXPONENT): Fraction(1, 2)}
-    assert top.total_degree() == MAX_EXPONENT
+    assert total_degree(top) == MAX_EXPONENT
     for exps in ((MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1), (2**64, 0)):
         with pytest.raises(ValueError):
             p({exps: 1})
@@ -330,7 +331,7 @@ def test_mixed_partials(a):
 def test_fundamental_theorem(a):
     # integrating d/dx over [0,1] telescopes to the endpoint difference
     lhs = a.pderiv("x").defint01("x")
-    rhs = a.set_var("x", 1) - a.set_var("x", 0)
+    rhs = set_var(a, "x", 1) - set_var(a, "x", 0)
     assert lhs == rhs
 
 
@@ -350,7 +351,7 @@ def integral_by_definition(pairs) -> Poly:
     total = Poly.zero(TU)
     for sign, a, b in pairs:
         total = total + a * b * sign
-    return total.defint01("t").drop_var("t")
+    return drop_var(total.defint01("t"), "t")
 
 
 # denominators up to 6 on the coefficients, and weights 1/(i + j + 1) up to

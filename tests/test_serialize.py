@@ -3,7 +3,6 @@
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -601,7 +600,6 @@ def test_expression_encoder_rejects_a_non_expression():
         expr_to_doc(42)
 
     # a subclass of a node is no node: its name has no decoder
-    @dataclass(frozen=True)
     class Echo(Chen):
         pass
 
