@@ -2,18 +2,20 @@
 
 Every verb reads documents, computes one value, and writes one document
 to stdout (or --out).  Exit status is 0 on success, 1 when a
-verification suite reports failures, 2 when an input does not parse or
-the --out path cannot be written, and 3 when parsed operands do not fit
-together (chart or parameter mismatches, operands outside an
-operation's domain), when a rational in the result has more digits
-than int() writes as text (4300 by default), which inputs inside that
-limit can still produce, or when the work runs out of memory.
+verification suite reports failures, 2 when an input is not UTF-8 or
+does not parse or the --out path cannot be written, and 3 when parsed
+operands do not fit together (chart or parameter mismatches, operands
+outside an operation's domain), when a rational in the result has more
+digits than int() writes as text (4300 by default), which inputs inside
+that limit can still produce, or when the work runs out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from .forms import Chart, OrdinaryForm
@@ -35,11 +37,21 @@ MISMATCH_ERROR = 3
 
 def _read_doc(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # strictly, as JSON requires
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     return loads(text)
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write text over path in place, then cut a regular file to its length:
+    on ext4 truncating a recently written file on open costs more than the
+    write.  Like the truncating open, an interrupted write breaks the file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # not /dev/null or a FIFO
+            f.truncate()
 
 
 def _embedded_chart(value: OrdinaryForm | PathFormExpr) -> Chart | None:
@@ -181,8 +193,7 @@ def main(argv=None) -> int:
         return MISMATCH_ERROR
     if args.out:
         try:
-            with open(args.out, "w") as f:
-                f.write(text)
+            _write_out(args.out, text)
         except OSError as e:
             print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
             return PARSE_ERROR

@@ -562,9 +562,10 @@ def dense_instance() -> tuple[OrdinaryForm, Plot, GeneralizedForm]:
     return w, plot, pair_encode(_full_form(rng, X3, 1), w, Fraction(-3, 2))
 
 
-def dense_verb_texts() -> dict[str, tuple[str, str]]:
+def dense_verb_texts(prefill=None) -> dict[str, tuple[str, str]]:
     """Each document verb's --out text on the dense instance, paired with
-    json.dumps's text of the document of the value the verb computes."""
+    json.dumps's text of the document of the value the verb computes.
+    With prefill, the --out file holds prefill(that text) before each verb."""
     w, plot, alpha = dense_instance()
     w1, _ = pair_decode(alpha)
     dalpha, expr = alpha.d(), map_I(alpha)
@@ -589,8 +590,10 @@ def dense_verb_texts() -> dict[str, tuple[str, str]]:
             Path(path[name]).write_text(dumps(to_doc(value)))
         for name, (argv, value) in verbs.items():
             argv = [path.get(arg, arg) for arg in argv]
-            assert main(argv + ["--out", path["out"]]) == 0
             expected = json.dumps(to_doc(value), indent=2, sort_keys=True) + "\n"
+            if prefill is not None:
+                Path(path["out"]).write_text(prefill(expected))
+            assert main(argv + ["--out", path["out"]]) == 0
             out[name] = (Path(path["out"]).read_text(), expected)
     return out
 

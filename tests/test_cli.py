@@ -201,6 +201,84 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert outpath.read_text() == dumps(form_to_doc(form.d()))
 
 
+@pytest.mark.parametrize(
+    "prefill",
+    [lambda text: "#" * (2 * len(text)), lambda text: "#" * (len(text) // 2)],
+    ids=["longer", "shorter"],
+)
+def test_out_over_an_existing_file_holds_exactly_the_result(prefill):
+    # the file is rewritten in place and cut to length, so no junk is left
+    # past the end of a shorter result
+    for name, (text, expected) in dense_verb_texts(prefill).items():
+        assert text == expected, name
+
+
+def d_of_dx(tmp_path):
+    """The argv of `d` on dx1, and the text it writes."""
+    form = dx(X2, 0)
+    return ["d", write_doc(tmp_path, "form.json", form_to_doc(form))], dumps(form_to_doc(form.d()))
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    argv, expected = d_of_dx(tmp_path)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("#" * 4 * len(expected))
+    link.symlink_to(target)
+    assert run(capsys, *argv, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+
+def test_out_to_dev_null_exits_0(tmp_path, capsys):
+    # a character device cannot be cut to length, and need not be
+    argv, _ = d_of_dx(tmp_path)
+    assert run(capsys, *argv, "--out", os.devnull) == (0, "", "")
+
+
+def test_out_keeps_the_permission_bits_of_an_existing_file(tmp_path, capsys):
+    argv, expected = d_of_dx(tmp_path)
+    outpath = tmp_path / "result.json"
+    outpath.write_text("#")
+    outpath.chmod(0o604)
+    assert run(capsys, *argv, "--out", str(outpath)) == (0, "", "")
+    assert outpath.read_text() == expected
+    assert outpath.stat().st_mode & 0o7777 == 0o604
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_out_creates_a_new_file_with_mode_0o666_under_the_umask(tmp_path, capsys, umask):
+    argv, expected = d_of_dx(tmp_path)
+    outpath = tmp_path / "result.json"
+    old = os.umask(umask)
+    try:
+        status = run(capsys, *argv, "--out", str(outpath))
+    finally:
+        os.umask(old)
+    assert status == (0, "", "")
+    assert outpath.read_text() == expected
+    assert outpath.stat().st_mode & 0o7777 == 0o666 & ~umask
+
+
+def test_out_is_written_in_place_without_o_trunc(tmp_path, capsys, monkeypatch):
+    # truncating a recently written file on open costs ext4 a flush, about
+    # 0.1-0.3 ms a verb; a timing test would flake, so the flags are pinned
+    argv, expected = d_of_dx(tmp_path)
+    outpath = tmp_path / "result.json"
+    outpath.write_text("#" * 4 * len(expected))
+    flags = []
+    real_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        if path == str(outpath):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert run(capsys, *argv, "--out", str(outpath)) == (0, "", "")
+    assert flags == [os.O_WRONLY | os.O_CREAT]  # no O_TRUNC
+    assert outpath.read_text() == expected
+
+
 def test_verify_verb_single_suite(tmp_path, capsys):
     status, out, _ = run(
         capsys, "verify", "--suite", "d_squared", "--seed", "5", "--trials", "4"
@@ -338,7 +416,9 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, where, verb):
     out_path = str(tmp_path / where)
     status, out, err = run(capsys, *argv[verb], "--out", out_path)
     assert (status, out) == (2, "")
-    assert err.startswith(f"error: cannot write {out_path}: ")
+    with pytest.raises(OSError) as raised:
+        open(out_path, "w")
+    assert err == f"error: cannot write {out_path}: {raised.value}\n"
 
 
 def test_verbs_look_operations_up_at_call_time(tmp_path, capsys, monkeypatch):
@@ -388,6 +468,52 @@ def test_unreadable_input_path_exits_2(tmp_path, capsys, where):
     assert (status, out) == (2, "")
     assert err.startswith(f"error: cannot read {path}: [Errno ")
     assert err.endswith(f": {path!r}\n")
+
+
+def write_bytes(tmp_path, data: bytes) -> str:
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+def latin1_form(tmp_path):
+    """A form document whose coordinate name é is written in Latin-1."""
+    doc = form_to_doc(dx(Chart(("\u00e9", "x2")), 0))
+    return write_bytes(tmp_path, json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+
+
+@pytest.mark.parametrize(
+    "write,byte",
+    [
+        (lambda tmp_path: write_bytes(tmp_path, b"\xff\xfe{"), "0xff in position 0"),
+        (latin1_form, "0xe9 in position "),
+    ],
+    ids=["utf16_bom", "latin1_name"],
+)
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, write, byte):
+    # JSON text is UTF-8; a decoding error is an unreadable document, not
+    # operands that do not fit (exit 3)
+    path = write(tmp_path)
+    status, out, err = run(capsys, "d", path)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte {byte}")
+
+
+def test_utf8_coordinate_name_decodes(tmp_path, capsys):
+    chart = Chart(("\u00e9", "x2"))
+    form = dx(chart, 1).scale(chart.var(0))
+    text = json.dumps(form_to_doc(form), ensure_ascii=False)
+    status, out, err = run(capsys, "d", write_bytes(tmp_path, text.encode()))
+    assert (status, out, err) == (0, dumps(form_to_doc(form.d())), "")
+
+
+def test_crlf_document_errors_count_a_line_break_as_one_char(tmp_path, capsys):
+    # documents are read with universal newlines, so json's positions in a
+    # CRLF document are those of its LF twin
+    path = write_bytes(tmp_path, b'{\r\n  "chart": ,\r\n}')
+    status, out, err = run(capsys, "d", path)
+    assert (status, out) == (2, "")
+    assert err == "error: invalid JSON: Expecting value: line 2 column 12 (char 13)\n"
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_pathlib():
